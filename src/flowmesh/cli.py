@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -165,7 +166,7 @@ def _write_trace(path, traces) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for stage_trace in traces:
             for report in stage_trace:
-                fh.write(json.dumps(report.to_dict()))
+                fh.write(json.dumps(asdict(report)))
                 fh.write("\n")
 
 
@@ -208,6 +209,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
+    if args.levels < 0:
+        raise ValueError(f"--levels must be non-negative, got {args.levels}")
     mesh = load_obj(args.mesh)
     for _ in range(args.levels):
         mesh = midpoint_subdivide(mesh)
@@ -225,8 +228,8 @@ def cmd_check(args) -> int:
     stability = stability_estimate(field)
     stage = DeformationStage(field, args.steps, stability)
     h = stage.h
-    basic_gate = h * stability.lipschitz <= 1.0
-    safe_gate = h * stability.lipschitz_safe < 1.0
+    basic_gate = h * stability.lipschitz <= 1.0  # report only
+    safe_gate = stage.gate_ok
     _say(f"L={stability.lipschitz:.9g}")
     _say(f"L_safe={stability.lipschitz_safe:.9g}")
     _say(f"M={stability.max_speed:.9g}")

@@ -91,7 +91,7 @@ class DeformationStage:
     @property
     def gate_margin(self) -> float:
         """1 - h * lipschitz_safe; positive iff the strict gate holds."""
-        return 1.0 - self.h * self.stability.lipschitz_safe
+        return check_gate(self.h, self.stability, "off")
 
     @property
     def gate_ok(self) -> bool:
@@ -114,24 +114,41 @@ class DeformationChain:
         return iter(self.stages)
 
 
-def _check_gate(stage: DeformationStage, gate: str, stage_index=None) -> None:
+def check_gate(
+    h: float,
+    stability: StabilityEstimate,
+    gate: GatePolicy = "strict",
+    stage_index=None,
+) -> float:
+    """The step-size gate: returns the margin 1 - h * lipschitz_safe.
+
+    Steps of size h are injective when the margin is positive.  When it is
+    not, 'strict' raises GateViolationError (naming ``stage_index`` if
+    given), 'warn' emits a GateWarning and 'off' lets it pass.
+    """
     if gate not in _GATE_POLICIES:
         raise ValueError(f"gate must be one of {_GATE_POLICIES}, got {gate!r}")
-    if gate == "off" or stage.gate_ok:
-        return
+    margin = 1.0 - h * stability.lipschitz_safe
+    if margin > 0.0 or gate == "off":
+        return margin
     if gate == "strict":
         raise GateViolationError(
-            stage.h,
-            stage.stability.lipschitz,
-            stage.stability.lipschitz_safe,
-            stage_index=stage_index,
+            h, stability.lipschitz, stability.lipschitz_safe, stage_index=stage_index
         )
     warnings.warn(
-        f"gate violated (h*L_safe={stage.h * stage.stability.lipschitz_safe:.6g} "
+        f"gate violated (h*L_safe={h * stability.lipschitz_safe:.6g} "
         f">= 1); integrating anyway under 'warn' policy",
         GateWarning,
         stacklevel=3,
     )
+    return margin
+
+
+def _finite_point_array(points) -> tuple[np.ndarray, bool]:
+    pts, single = _as_point_array(points)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return pts, single
 
 
 def euler_step(field: FlowField, x, h: float) -> np.ndarray:
@@ -141,31 +158,14 @@ def euler_step(field: FlowField, x, h: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def advect(
-    geometry, data64: np.ndarray, points: np.ndarray, h: float, steps: int,
-    record: bool = False,
-):
-    """Advance points through `steps` Euler steps of size h.
-
-    With ``record`` the full trajectory [(N,3)] * (steps+1) is returned so a
-    reverse pass can rebuild every interpolation stencil; this is the single
-    integration kernel shared by the deformation and fitting code paths.
-    """
-    x = np.array(points, dtype=np.float64)
-    trajectory = [x.copy()] if record else None
-    for _ in range(steps):
-        x = x + h * sample_grid(geometry, data64, x)
-        if record:
-            trajectory.append(x.copy())
-    return (x, trajectory) if record else x
-
-
 def integrate(stage: DeformationStage, points, gate: GatePolicy = "strict") -> np.ndarray:
-    """Advance each point independently by n Euler steps of size 1/n."""
-    _check_gate(stage, gate)
-    pts, single = _as_point_array(points)
-    out = advect(stage.field.geometry, stage.field.data64, pts, stage.h, stage.steps)
-    return out[0] if single else out
+    """Advance each (finite) point independently by n Euler steps of size 1/n."""
+    check_gate(stage.h, stage.stability, gate)
+    x, single = _finite_point_array(points)
+    geometry, data64 = stage.field.geometry, stage.field.data64
+    for _ in range(stage.steps):
+        x = x + stage.h * sample_grid(geometry, data64, x)
+    return x[0] if single else x
 
 
 def invert_step(
@@ -178,17 +178,16 @@ def invert_step(
 ) -> np.ndarray:
     """Solve y = x + h*v(x) by the contraction x <- y - h*v(x), started at y.
 
-    Requires h * lipschitz_safe < 1.  Each point iterates until its own
-    residual ||y - x - h*v(x)|| is within tol and is then frozen, so results
-    do not depend on how points are batched.
+    Requires h * lipschitz_safe < 1 and finite points.  Each point iterates
+    until its own residual ||y - x - h*v(x)|| is within tol and is then
+    frozen, so results do not depend on how points are batched.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     if stability is None:
         stability = stability_estimate(field)
-    if h * stability.lipschitz_safe >= 1.0:
-        raise GateViolationError(h, stability.lipschitz, stability.lipschitz_safe)
-    ys, single = _as_point_array(y)
+    check_gate(h, stability)
+    ys, single = _finite_point_array(y)
     x = ys.copy()
     result = np.empty_like(ys)
     active = np.arange(len(ys))
@@ -221,9 +220,8 @@ def integrate_inverse(
     gate: GatePolicy = "strict",
 ) -> np.ndarray:
     """Undo integrate() by inverting its n steps in reverse order."""
-    _check_gate(stage, gate)
-    pts, single = _as_point_array(points)
-    x = np.array(pts, dtype=np.float64)
+    check_gate(stage.h, stage.stability, gate)
+    x, single = _as_point_array(points)
     for _ in range(stage.steps):
         x = invert_step(
             stage.field, x, stage.h, tol=tol, max_iter=max_iter,
@@ -252,7 +250,7 @@ def apply_chain(
         stages = stages[::-1]
     for position, stage in enumerate(stages):
         index = len(stages) - 1 - position if inverse else position
-        _check_gate(stage, gate, stage_index=index)
+        check_gate(stage.h, stage.stability, gate, stage_index=index)
         if inverse:
             vertices = integrate_inverse(
                 stage, vertices, tol=tol, max_iter=max_iter, gate="off"

@@ -17,8 +17,7 @@ are rescaled back so the emitted chain acts in the original coordinates.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -26,18 +25,14 @@ from .deform import (
     DeformationChain,
     DeformationStage,
     GatePolicy,
-    GateViolationError,
-    GateWarning,
     apply_chain,
+    check_gate,
 )
 from .flow_field import (
     FlowField,
     GridGeometry,
+    TrilinearStencil,
     _boundary_mask,
-    _cell_lookup,
-    _stencil_flat_indices,
-    _stencil_weight_gradients,
-    _stencil_weights,
     sample_grid,
     stability_from_grid,
 )
@@ -168,16 +163,6 @@ class LossReport:
     grad_norm: float
     gate_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "chamfer_term": self.chamfer_term,
-            "edge_term": self.edge_term,
-            "total": self.total,
-            "grad_norm": self.grad_norm,
-            "gate_margin": self.gate_margin,
-        }
-
 
 @dataclass
 class StageProblem:
@@ -210,22 +195,13 @@ class Intermediates:
 
     problem: StageProblem
     params: np.ndarray
-    step_inside: list[np.ndarray]
-    step_flat: list[np.ndarray]
-    step_local: list[np.ndarray]
+    step_points: list[np.ndarray]  # vertex positions before each Euler step
     deformed_vertices: np.ndarray
     face_idx: np.ndarray
     bary: np.ndarray
     pred_points: np.ndarray
     idx_ab: np.ndarray
     idx_ba: np.ndarray
-
-
-def _capture_stencil(geometry: GridGeometry, pts: np.ndarray):
-    inside = np.all((pts >= geometry.lower) & (pts <= geometry.upper), axis=1)
-    idx = np.nonzero(inside)[0]
-    base, local = _cell_lookup(geometry, pts[idx])
-    return idx, _stencil_flat_indices(geometry, base), local
 
 
 def forward_loss(
@@ -235,7 +211,7 @@ def forward_loss(
 
     ``draw`` fixes the (face index, barycentric) surface draw; by default a
     fresh draw is taken from the deformed mesh with the problem's sample seed.
-    The returned intermediates retain per-step stencils and correspondences
+    The returned intermediates retain per-step positions and correspondences
     for :func:`backward`.
     """
     geometry = problem.geometry
@@ -245,24 +221,13 @@ def forward_loss(
     params = params.copy()
     params[_boundary_mask(geometry.dims)] = 0.0
 
-    stability = stability_from_grid(geometry, params)
     h = 1.0 / problem.steps
-    margin = 1.0 - h * stability.lipschitz_safe
-    if margin <= 0.0:
-        if problem.gate == "strict":
-            raise GateViolationError(h, stability.lipschitz, stability.lipschitz_safe)
-        if problem.gate == "warn":
-            warnings.warn(
-                f"fit gate violated (margin {margin:.3g}); continuing", GateWarning
-            )
+    margin = check_gate(h, stability_from_grid(geometry, params), problem.gate)
 
     x = np.array(problem.start_vertices, dtype=np.float64)
-    step_inside, step_flat, step_local = [], [], []
+    step_points = []
     for _ in range(problem.steps):
-        idx, flat, local = _capture_stencil(geometry, x)
-        step_inside.append(idx)
-        step_flat.append(flat)
-        step_local.append(local)
+        step_points.append(x)
         x = x + h * sample_grid(geometry, params, x)
     deformed = x
 
@@ -285,9 +250,7 @@ def forward_loss(
     inter = Intermediates(
         problem=problem,
         params=params,
-        step_inside=step_inside,
-        step_flat=step_flat,
-        step_local=step_local,
+        step_points=step_points,
         deformed_vertices=deformed,
         face_idx=face_idx,
         bary=bary,
@@ -328,25 +291,14 @@ def backward(inter: Intermediates) -> np.ndarray:
         np.add.at(grad_v, e0, coeff * delta)
         np.add.at(grad_v, e1, -coeff * delta)
 
-    flat_params = inter.params.reshape(-1, 3)
-    grad_params = np.zeros_like(flat_params)
+    grad = np.zeros_like(inter.params)
     grad_x = grad_v
-    for k in reversed(range(problem.steps)):
-        idx = inter.step_inside[k]
-        if len(idx) == 0:
-            continue
-        flat = inter.step_flat[k]
-        local = inter.step_local[k]
-        g_in = grad_x[idx]
-        weights = _stencil_weights(local)
-        np.add.at(grad_params, flat, h * weights[:, :, None] * g_in[:, None, :])
-        corners = flat_params[flat]  # (n, 8, 3)
-        dweights = _stencil_weight_gradients(geometry, local)  # (n, 8, 3)
-        node_dot = np.einsum("npc,nc->np", corners, g_in)
-        grad_x = grad_x.copy()
-        grad_x[idx] += h * np.einsum("npa,np->na", dweights, node_dot)
+    for x in reversed(inter.step_points):
+        stencil = TrilinearStencil(geometry, x)
+        g_in = grad_x[stencil.inside]
+        stencil.scatter(grad.reshape(-1, 3), g_in, h)
+        grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
 
-    grad = grad_params.reshape(geometry.dims + (3,))
     grad[_boundary_mask(geometry.dims)] = 0.0
     return grad
 
@@ -434,16 +386,7 @@ def fit_stage(
             raise FitDivergedError(stage_index, trace)
         grad = backward(inter)
         grad_norm = float(np.sqrt((grad * grad).sum()))
-        trace.append(
-            LossReport(
-                iteration=iteration,
-                chamfer_term=terms.chamfer_term,
-                edge_term=terms.edge_term,
-                total=terms.total,
-                grad_norm=grad_norm,
-                gate_margin=terms.gate_margin,
-            )
-        )
+        trace.append(LossReport(iteration=iteration, grad_norm=grad_norm, **asdict(terms)))
         if terms.total < best_total:
             best_total = terms.total
             best_params = params.copy()
@@ -451,30 +394,24 @@ def fit_stage(
         velocity = MOMENTUM * velocity - step_size * grad
         candidate = params + velocity
         candidate[_boundary_mask(geometry.dims)] = 0.0
-        if config.gate == "strict":
-            cand_stability = stability_from_grid(geometry, candidate)
-            if h * cand_stability.lipschitz_safe >= 1.0:
-                step_size *= 0.5
-                velocity[:] = 0.0
-                continue
-        cand_terms, _ = forward_loss(
-            candidate, problem, draw=(inter.face_idx, inter.bary)
-        )
-        if not (cand_terms.total <= terms.total):  # rejects NaN as well
+        # under the strict gate an ungated candidate is rejected unevaluated
+        accepted = config.gate != "strict" or check_gate(
+            h, stability_from_grid(geometry, candidate), "off"
+        ) > 0.0
+        if accepted:
+            cand_terms, _ = forward_loss(
+                candidate, problem, draw=(inter.face_idx, inter.bary)
+            )
+            accepted = cand_terms.total <= terms.total  # rejects NaN as well
+        if accepted:
+            params = candidate
+        else:
             step_size *= 0.5
             velocity[:] = 0.0
-            continue
-        params = candidate
 
     field = FlowField(geometry, best_params.astype(np.float32))
     stage = DeformationStage(field, scfg.steps)
-    if config.gate == "strict" and not stage.gate_ok:
-        raise GateViolationError(
-            stage.h,
-            stage.stability.lipschitz,
-            stage.stability.lipschitz_safe,
-            stage_index=stage_index,
-        )
+    check_gate(stage.h, stage.stability, config.gate, stage_index=stage_index)
     return stage, trace
 
 

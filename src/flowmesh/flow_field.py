@@ -182,16 +182,6 @@ _CORNERS = np.array(
 )
 
 
-def _cell_lookup(geometry: GridGeometry, pts: np.ndarray):
-    """Cell base index and local coordinates for points known to be inside."""
-    dims = np.array(geometry.dims, dtype=np.int64)
-    rel = (pts - geometry.lower) / np.array(geometry.spacing, dtype=np.float64)
-    base = np.floor(rel).astype(np.int64)
-    np.clip(base, 0, dims - 2, out=base)
-    local = np.clip(rel - base, 0.0, 1.0)
-    return base, local
-
-
 def _stencil_weights(local: np.ndarray) -> np.ndarray:
     """Trilinear weights, shape (N, 8), matching the _CORNERS order."""
     tx, ty, tz = local[:, 0], local[:, 1], local[:, 2]
@@ -209,24 +199,72 @@ def _stencil_weights(local: np.ndarray) -> np.ndarray:
     return w
 
 
-def _corner_flat_offsets(geometry: GridGeometry) -> np.ndarray:
-    _, W, D = geometry.dims
-    return (_CORNERS[:, 0] * W + _CORNERS[:, 1]) * D + _CORNERS[:, 2]
+class TrilinearStencil:
+    """The 8-node interpolation stencil of a batch of points, from one cell lookup.
 
+    Rows are the points inside the closed grid domain, in batch order:
+    ``inside`` holds their indices into the (N, 3) batch, ``flat`` the (n, 8)
+    flat node indices of their cell corners and ``local`` their (n, 3)
+    coordinates within the cell.  Points outside the grid see a zero field
+    and have no row.  A point on a cell face takes the cell above it, except
+    on the grid's upper faces, which belong to the last cell.
 
-def _stencil_flat_indices(geometry: GridGeometry, base: np.ndarray) -> np.ndarray:
-    """Flat node indices of the 8 stencil corners, shape (N, 8)."""
-    _, W, D = geometry.dims
-    flat_base = (base[:, 0] * W + base[:, 1]) * D + base[:, 2]
-    return flat_base[:, None] + _corner_flat_offsets(geometry)[None, :]
+    ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend`` and
+    ``jacobians`` evaluate the interpolant, ``scatter`` and
+    ``jacobian_transpose`` are their adjoints for reverse-mode gradients.
+    """
 
+    __slots__ = ("geometry", "inside", "flat", "local")
 
-def _interpolate_inside(geometry: GridGeometry, data64: np.ndarray, pts: np.ndarray):
-    base, local = _cell_lookup(geometry, pts)
-    w = _stencil_weights(local)
-    flat = _stencil_flat_indices(geometry, base)
-    corners = data64.reshape(-1, 3)[flat]  # (n, 8, 3)
-    return np.einsum("np,npc->nc", w, corners)
+    def __init__(self, geometry: GridGeometry, points: np.ndarray):
+        self.geometry = geometry
+        self.inside = np.flatnonzero(geometry.contains(points))
+        pts = points if len(self.inside) == len(points) else points[self.inside]
+        dims = np.array(geometry.dims, dtype=np.int64)
+        rel = (pts - geometry.lower) / np.array(geometry.spacing, dtype=np.float64)
+        base = np.floor(rel).astype(np.int64)
+        np.clip(base, 0, dims - 2, out=base)
+        self.local = np.clip(rel - base, 0.0, 1.0)
+        _, W, D = geometry.dims
+        flat_base = (base[:, 0] * W + base[:, 1]) * D + base[:, 2]
+        offsets = (_CORNERS[:, 0] * W + _CORNERS[:, 1]) * D + _CORNERS[:, 2]
+        self.flat = flat_base[:, None] + offsets[None, :]
+
+    def _corners(self, data64: np.ndarray) -> np.ndarray:
+        return data64.reshape(-1, 3)[self.flat]  # (n, 8, 3)
+
+    def _weight_gradients(self) -> np.ndarray:
+        """d(weight)/d(world position) for the 8 corners, shape (n, 8, 3)."""
+        t = self.local
+        spacing = np.array(self.geometry.spacing, dtype=np.float64)
+        u = np.stack([1.0 - t, t], axis=2)  # (n, 3, 2): axis factors
+        du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
+        grads = np.empty((t.shape[0], 8, 3), dtype=np.float64)
+        for p, (a, b, c) in enumerate(_CORNERS):
+            fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
+            grads[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
+            grads[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
+            grads[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
+        return grads
+
+    def blend(self, data64: np.ndarray) -> np.ndarray:
+        """Interpolated node vectors, shape (n, 3)."""
+        return np.einsum("np,npc->nc", _stencil_weights(self.local), self._corners(data64))
+
+    def jacobians(self, data64: np.ndarray) -> np.ndarray:
+        """Spatial Jacobians dv/dx of the interpolant, shape (n, 3, 3)."""
+        return np.einsum("npa,npc->nca", self._weight_gradients(), self._corners(data64))
+
+    def scatter(self, out: np.ndarray, grad: np.ndarray, scale: float) -> None:
+        """Adjoint of ``blend`` in the node data: adds ``scale * weight * grad``
+        of each row to its 8 corner rows of the (nodes, 3) array ``out``."""
+        weights = _stencil_weights(self.local)
+        np.add.at(out, self.flat, scale * weights[:, :, None] * grad[:, None, :])
+
+    def jacobian_transpose(self, data64: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Adjoint of ``blend`` in the points: J^T grad per row, shape (n, 3)."""
+        node_dot = np.einsum("npc,nc->np", self._corners(data64), grad)
+        return np.einsum("npa,np->na", self._weight_gradients(), node_dot)
 
 
 def sample_grid(geometry: GridGeometry, data64: np.ndarray, points) -> np.ndarray:
@@ -236,13 +274,13 @@ def sample_grid(geometry: GridGeometry, data64: np.ndarray, points) -> np.ndarra
     finite point is accepted.
     """
     pts, single = _as_point_array(points)
-    inside = np.all((pts >= geometry.lower) & (pts <= geometry.upper), axis=1)
-    if inside.all():
-        out = _interpolate_inside(geometry, data64, pts)
+    stencil = TrilinearStencil(geometry, pts)
+    values = stencil.blend(data64)
+    if len(values) == len(pts):
+        out = values
     else:
         out = np.zeros_like(pts)
-        if inside.any():
-            out[inside] = _interpolate_inside(geometry, data64, pts[inside])
+        out[stencil.inside] = values
     return out[0] if single else out
 
 
@@ -256,35 +294,13 @@ def grid_jacobians(geometry: GridGeometry, data64: np.ndarray, points) -> np.nda
 
     Zero outside the grid.  Inside a cell the interpolant is trilinear, so the
     Jacobian is exact there; on cell boundaries the one-sided value of the
-    containing cell (per `_cell_lookup` clamping) is returned.
+    cell that `TrilinearStencil` assigns the point to is returned.
     """
     pts, single = _as_point_array(points)
+    stencil = TrilinearStencil(geometry, pts)
     jac = np.zeros((pts.shape[0], 3, 3), dtype=np.float64)
-    inside = np.all((pts >= geometry.lower) & (pts <= geometry.upper), axis=1)
-    if inside.any():
-        p = pts[inside]
-        base, local = _cell_lookup(geometry, p)
-        flat = _stencil_flat_indices(geometry, base)
-        corners = data64.reshape(-1, 3)[flat]  # (n, 8, 3)
-        dw = _stencil_weight_gradients(geometry, local)  # (n, 8, 3)
-        jac[inside] = np.einsum("npa,npc->nca", dw, corners)
+    jac[stencil.inside] = stencil.jacobians(data64)
     return jac[0] if single else jac
-
-
-def _stencil_weight_gradients(geometry: GridGeometry, local: np.ndarray) -> np.ndarray:
-    """d(weight)/d(world position) for the 8 stencil corners, shape (N, 8, 3)."""
-    t = local
-    spacing = np.array(geometry.spacing, dtype=np.float64)
-    u = np.stack([1.0 - t, t], axis=2)  # (n, 3, 2): axis factors
-    du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
-    n = t.shape[0]
-    grads = np.empty((n, 8, 3), dtype=np.float64)
-    for p, (a, b, c) in enumerate(_CORNERS):
-        fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
-        grads[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
-        grads[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
-        grads[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
-    return grads
 
 
 def stability_estimate(field: FlowField) -> StabilityEstimate:

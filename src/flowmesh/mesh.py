@@ -281,9 +281,12 @@ def load_obj(path) -> TriangleMesh:
                         line=lineno,
                     )
                 try:
-                    vertices.append([float(p) for p in parts[1:]])
+                    coords = [float(p) for p in parts[1:]]
                 except ValueError as exc:
                     raise MeshFormatError(f"bad coordinate: {exc}", line=lineno) from exc
+                if not all(map(math.isfinite, coords)):
+                    raise MeshFormatError("non-finite coordinate", line=lineno)
+                vertices.append(coords)
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise MeshFormatError(

@@ -306,3 +306,23 @@ class TestFitCommand:
         lines = (out_dir / "trace.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["total"] == 1.5
+
+
+class TestRefusedInput:
+    def test_deform_nan_vertex_exit_1(self, tmp_path, gated_flow, capsys):
+        mesh = tmp_path / "nan.obj"
+        mesh.write_text("v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n")
+        out = tmp_path / "out.obj"
+        code = main(["deform", "--mesh", str(mesh), "--flow", str(gated_flow),
+                     "--steps", "8", "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subdivide_negative_levels_exit_1(self, tmp_path, sphere_obj, capsys):
+        out = tmp_path / "sub.obj"
+        code = main(["subdivide", "--mesh", str(sphere_obj), "--levels", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "--levels must be non-negative" in capsys.readouterr().err
+        assert not out.exists()

@@ -244,3 +244,67 @@ class TestApplyChain:
         with pytest.raises(GateViolationError) as err:
             apply_chain(DeformationChain((ok, bad)), icosphere(1))
         assert err.value.stage_index == 1
+
+
+class TestCheckGate:
+    def test_returns_margin_and_applies_policy(self):
+        from flowmesh.deform import check_gate
+
+        stability = DeformationStage(zero_field(), 1).stability
+        assert check_gate(0.25, stability) == 1.0
+        stage = DeformationStage(
+            make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=41, steps=4, margin=2.0),
+            4,
+        )
+        margin = 1.0 - stage.h * stage.stability.lipschitz_safe
+        assert stage.gate_margin == margin < 0.0
+        assert check_gate(stage.h, stage.stability, "off") == margin
+        with pytest.warns(GateWarning):
+            assert check_gate(stage.h, stage.stability, "warn") == margin
+        with pytest.raises(GateViolationError) as err:
+            check_gate(stage.h, stage.stability, "strict", stage_index=3)
+        assert err.value.stage_index == 3
+        with pytest.raises(ValueError, match="gate must be one of"):
+            check_gate(stage.h, stage.stability, "loose")
+
+    def test_margin_zero_is_rejected(self):
+        from flowmesh import StabilityEstimate
+        from flowmesh.deform import check_gate
+
+        stability = StabilityEstimate((0.5, 0.5, 0.5), 0.5, 1.0, lipschitz_safe=2.0)
+        assert check_gate(0.5, stability, "off") == 0.0
+        with pytest.raises(GateViolationError):
+            check_gate(0.5, stability)
+        assert check_gate(np.nextafter(0.5, 0.0), stability) > 0.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_integrate_refuses(self, bad):
+        stage = DeformationStage(
+            make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=42, steps=4), 4
+        )
+        pts = np.full((3, 3), 0.5)
+        pts[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            integrate(stage, pts)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_inverse(stage, pts)
+
+    def test_invert_step_refuses_before_iterating(self):
+        field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=43, steps=4)
+        with pytest.raises(ValueError, match="finite"):
+            invert_step(field, np.array([0.5, np.nan, 0.5]), 0.25)
+
+    def test_apply_chain_refuses_nan_vertices(self):
+        mesh = icosphere(1, radius=0.3, center=(0.5, 0.5, 0.5))
+        vertices = mesh.vertices.copy()
+        vertices[0, 0] = np.nan
+        stage = DeformationStage(
+            make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=44, steps=4), 4
+        )
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="finite"):
+                apply_chain(
+                    DeformationChain((stage,)), mesh.with_vertices(vertices), inverse=inverse
+                )

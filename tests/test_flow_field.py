@@ -336,3 +336,53 @@ def test_store_load_round_trip_property(seed):
         loaded = load_flow(path)
         assert np.array_equal(loaded.data, field.data)
         assert loaded.geometry == field.geometry
+
+
+class TestTrilinearStencil:
+    """The shared stencil and its adjoints, on points inside, on the upper
+    faces of and outside the grid."""
+
+    @staticmethod
+    def batch():
+        from flowmesh.flow_field import TrilinearStencil
+
+        geometry = GridGeometry((5, 6, 7), (-1.0, -0.5, 0.0), (0.5, 0.4, 0.3))
+        data = np.random.default_rng(31).normal(size=(5, 6, 7, 3))
+        pts = np.random.default_rng(32).uniform(-1.3, 2.3, size=(400, 3))
+        upper = geometry.upper
+        for axis in range(3):
+            pts[axis * 20:(axis + 1) * 20, axis] = upper[axis]
+        pts[60:70] = upper
+        return geometry, data, pts, TrilinearStencil(geometry, pts)
+
+    def test_rows_are_the_contained_points(self):
+        geometry, data, pts, stencil = self.batch()
+        contained = np.flatnonzero(geometry.contains(pts))
+        assert 70 <= len(contained) < len(pts)
+        assert np.array_equal(stencil.inside, contained)
+        assert stencil.flat.shape == (len(contained), 8)
+        expected = np.stack([trilinear_oracle(geometry, data, p) for p in pts[contained]])
+        assert np.allclose(stencil.blend(data), expected, rtol=1e-12, atol=1e-12)
+
+    def test_scatter_is_adjoint_of_blend(self):
+        _, data, _, stencil = self.batch()
+        g = np.random.default_rng(33).normal(size=(len(stencil.inside), 3))
+        out = np.zeros((data.size // 3, 3))
+        stencil.scatter(out, g, 1.0)
+        lhs = float(np.sum(stencil.blend(data) * g))
+        rhs = float(np.sum(data.reshape(-1, 3) * out))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_jacobian_transpose_matches_grid_jacobians(self):
+        from flowmesh.flow_field import grid_jacobians
+
+        geometry, data, pts, stencil = self.batch()
+        jac = grid_jacobians(geometry, data, pts)
+        outside = np.ones(len(pts), dtype=bool)
+        outside[stencil.inside] = False
+        assert not jac[outside].any()
+        g = np.random.default_rng(34).normal(size=(len(stencil.inside), 3))
+        expected = np.einsum("nca,nc->na", jac[stencil.inside], g)
+        assert np.allclose(
+            stencil.jacobian_transpose(data, g), expected, rtol=1e-12, atol=1e-12
+        )

@@ -244,3 +244,11 @@ def test_obj_round_trip_relative_precision(coords):
         store_obj(mesh, path)
         loaded = load_obj(path)
     assert np.allclose(loaded.vertices, mesh.vertices, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("coords", ["nan 0 0", "0 inf 0", "0 0 -inf"])
+def test_load_obj_rejects_non_finite_coordinates(tmp_path, coords):
+    path = tmp_path / "nf.obj"
+    path.write_text(f"v 0 0 0\nv {coords}\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshFormatError, match="line 2: non-finite"):
+        load_obj(path)
