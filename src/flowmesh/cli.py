@@ -46,9 +46,10 @@ from .metrics import (
     MetricReport,
     NotWatertightError,
     VoxelizationError,
-    chamfer,
+    chamfer,  # unused here; perfbench/spans.py wraps these three by name
     chamfer_normals,
     hausdorff,
+    match_clouds,
     sample_surface,
     self_intersecting_faces,
     dice as dice_score,
@@ -126,10 +127,11 @@ def cmd_metrics(args) -> int:
         occ_gt = voxelize(gt, geometry, args.voxel_supersample)
         dice_value = dice_score(occ_pred, occ_gt)
         vs_value = volume_similarity(occ_pred, occ_gt)
+    match = match_clouds(pred_cloud, gt_cloud)
     report = MetricReport(
-        chamfer=chamfer(pred_cloud, gt_cloud),
-        hausdorff=hausdorff(pred_cloud, gt_cloud),
-        chamfer_normals=chamfer_normals(pred_cloud, gt_cloud),
+        chamfer=match.chamfer(),
+        hausdorff=match.hausdorff(),
+        chamfer_normals=match.chamfer_normals(pred_cloud.normals, gt_cloud.normals),
         sif_count=sif_count,
         sif_percent=sif_percent,
         dice=dice_value,

@@ -152,8 +152,8 @@ def _finite_point_array(points) -> tuple[np.ndarray, bool]:
 
 
 def euler_step(field: FlowField, x, h: float) -> np.ndarray:
-    """One explicit step x + h * v(x); accepts a point or an (N, 3) array."""
-    pts, single = _as_point_array(x)
+    """One explicit step x + h * v(x); accepts a finite point or (N, 3) array."""
+    pts, single = _finite_point_array(x)
     out = pts + h * sample_grid(field.geometry, field.data64, pts)
     return out[0] if single else out
 
@@ -213,20 +213,13 @@ def invert_step(
 
 
 def integrate_inverse(
-    stage: DeformationStage,
-    points,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    gate: GatePolicy = "strict",
+    stage: DeformationStage, points, gate: GatePolicy = "strict"
 ) -> np.ndarray:
     """Undo integrate() by inverting its n steps in reverse order."""
     check_gate(stage.h, stage.stability, gate)
     x, single = _as_point_array(points)
     for _ in range(stage.steps):
-        x = invert_step(
-            stage.field, x, stage.h, tol=tol, max_iter=max_iter,
-            stability=stage.stability,
-        )
+        x = invert_step(stage.field, x, stage.h, stability=stage.stability)
     return x[0] if single else x
 
 
@@ -235,8 +228,6 @@ def apply_chain(
     mesh: TriangleMesh,
     gate: GatePolicy = "strict",
     inverse: bool = False,
-    tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> TriangleMesh:
     """Transform mesh vertices by every stage in order; connectivity is reused.
 
@@ -252,9 +243,7 @@ def apply_chain(
         index = len(stages) - 1 - position if inverse else position
         check_gate(stage.h, stage.stability, gate, stage_index=index)
         if inverse:
-            vertices = integrate_inverse(
-                stage, vertices, tol=tol, max_iter=max_iter, gate="off"
-            )
+            vertices = integrate_inverse(stage, vertices, gate="off")
         else:
             vertices = integrate(stage, vertices, gate="off")
     return mesh.with_vertices(vertices)

@@ -25,6 +25,7 @@ from .deform import (
     DeformationChain,
     DeformationStage,
     GatePolicy,
+    GateViolationError,
     apply_chain,
     check_gate,
 )
@@ -37,7 +38,7 @@ from .flow_field import (
     stability_from_grid,
 )
 from .mesh import TriangleMesh, midpoint_subdivide, unique_edges
-from .metrics.distances import _nn_distances, mean_squared_edge_length
+from .metrics.distances import CloudMatch, match_clouds, mean_squared_edge_length
 from .metrics.sampling import draw_surface_samples, points_from_draw, sample_surface
 
 MOMENTUM = 0.9
@@ -200,8 +201,7 @@ class Intermediates:
     face_idx: np.ndarray
     bary: np.ndarray
     pred_points: np.ndarray
-    idx_ab: np.ndarray
-    idx_ba: np.ndarray
+    match: CloudMatch  # pred -> target (ab) and target -> pred (ba)
 
 
 def forward_loss(
@@ -238,9 +238,8 @@ def forward_loss(
         face_idx, bary = draw
     pred = points_from_draw(deformed, problem.faces, face_idx, bary)
 
-    d_ab, idx_ab = _nn_distances(pred, problem.target_points)
-    d_ba, idx_ba = _nn_distances(problem.target_points, pred)
-    chamfer_sq = 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
+    match = match_clouds(pred, problem.target_points)
+    chamfer_sq = match.chamfer(squared=True)
     edge_term = mean_squared_edge_length(deformed, problem.edges)
     total = problem.chamfer_weight * chamfer_sq + problem.edge_weight * edge_term
 
@@ -255,8 +254,7 @@ def forward_loss(
         face_idx=face_idx,
         bary=bary,
         pred_points=pred,
-        idx_ab=idx_ab,
-        idx_ba=idx_ba,
+        match=match,
     )
     return terms, inter
 
@@ -274,11 +272,10 @@ def backward(inter: Intermediates) -> np.ndarray:
     pred = inter.pred_points
     target = problem.target_points
     n_pred, n_tgt = len(pred), len(target)
+    idx_ab, idx_ba = inter.match.idx_ab, inter.match.idx_ba
 
-    grad_pred = (w_c / n_pred) * (pred - target[inter.idx_ab])
-    np.add.at(
-        grad_pred, inter.idx_ba, (w_c / n_tgt) * (pred[inter.idx_ba] - target)
-    )
+    grad_pred = (w_c / n_pred) * (pred - target[idx_ab])
+    np.add.at(grad_pred, idx_ba, (w_c / n_tgt) * (pred[idx_ba] - target))
 
     grad_v = np.zeros_like(inter.deformed_vertices)
     scatter = inter.bary[:, :, None] * grad_pred[:, None, :]
@@ -355,7 +352,6 @@ def fit_stage(
     else:
         start = template.vertices
     edges = unique_edges(template.faces)
-    h = 1.0 / scfg.steps
 
     params = np.zeros(geometry.dims + (3,), dtype=np.float64)
     velocity = np.zeros_like(params)
@@ -394,14 +390,13 @@ def fit_stage(
         velocity = MOMENTUM * velocity - step_size * grad
         candidate = params + velocity
         candidate[_boundary_mask(geometry.dims)] = 0.0
-        # under the strict gate an ungated candidate is rejected unevaluated
-        accepted = config.gate != "strict" or check_gate(
-            h, stability_from_grid(geometry, candidate), "off"
-        ) > 0.0
-        if accepted:
+        try:
             cand_terms, _ = forward_loss(
                 candidate, problem, draw=(inter.face_idx, inter.bary)
             )
+        except GateViolationError:  # strict gate; a NaN margin raises too
+            accepted = False
+        else:
             accepted = cand_terms.total <= terms.total  # rejects NaN as well
         if accepted:
             params = candidate

@@ -115,8 +115,7 @@ class FlowField:
     Instances are immutable; ``data`` is read-only and a float64 copy is kept
     for interpolation arithmetic.  The zero-boundary invariant is *not*
     enforced at construction (so that repair tooling can operate on
-    non-compliant data); use :func:`enforce_zero_boundary` or check
-    :attr:`boundary_is_zero`.
+    non-compliant data); use :func:`enforce_zero_boundary`.
     """
 
     __slots__ = ("geometry", "data", "_data64")
@@ -143,10 +142,6 @@ class FlowField:
     def data64(self) -> np.ndarray:
         """Float64 view of the node data used for all arithmetic."""
         return self._data64
-
-    @property
-    def boundary_is_zero(self) -> bool:
-        return not np.any(self.data[_boundary_mask(self.geometry.dims)])
 
     def sample(self, points):
         return sample(self, points)

@@ -2,10 +2,12 @@
 voxel overlap scores and the aggregate report."""
 
 from .distances import (
+    CloudMatch,
     chamfer,
     chamfer_normals,
     edge_loss,
     hausdorff,
+    match_clouds,
     mean_squared_edge_length,
     nearest_neighbor_indices,
 )
@@ -29,6 +31,7 @@ from .voxel import (
 )
 
 __all__ = [
+    "CloudMatch",
     "MetricReport",
     "NotWatertightError",
     "OccupancyGrid",
@@ -41,6 +44,7 @@ __all__ = [
     "edge_loss",
     "face_unit_normals",
     "hausdorff",
+    "match_clouds",
     "mean_squared_edge_length",
     "nearest_neighbor_indices",
     "points_from_draw",

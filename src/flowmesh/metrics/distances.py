@@ -7,6 +7,8 @@ values are bit-identical to an O(n^2) brute-force evaluation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -31,47 +33,60 @@ def nearest_neighbor_indices(queries: np.ndarray, targets: np.ndarray) -> np.nda
     return np.asarray(idx, dtype=np.int64)
 
 
-def _nn_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = nearest_neighbor_indices(a, b)
-    return np.linalg.norm(a - b[idx], axis=1), idx
+@dataclass(frozen=True)
+class CloudMatch:
+    """Nearest-neighbour correspondences of clouds a and b in both directions:
+    b[idx_ab[i]] is nearest to a[i] at distance d_ab[i], and likewise ba."""
+
+    d_ab: np.ndarray
+    idx_ab: np.ndarray
+    d_ba: np.ndarray
+    idx_ba: np.ndarray
+
+    def chamfer(self, squared: bool = False) -> float:
+        """Symmetric mean nearest-neighbour distance; ``squared`` averages
+        squared distances instead (smooth near zero; the fitting loss)."""
+        if squared:
+            return 0.5 * (float(np.mean(self.d_ab**2)) + float(np.mean(self.d_ba**2)))
+        return 0.5 * (float(np.mean(self.d_ab)) + float(np.mean(self.d_ba)))
+
+    def hausdorff(self) -> float:
+        """Symmetric maximum nearest-neighbour distance (sample-based)."""
+        return max(float(self.d_ab.max()), float(self.d_ba.max()))
+
+    def chamfer_normals(self, normals_a: np.ndarray, normals_b: np.ndarray) -> float:
+        """Mean |cos| of normal angles at the correspondences, in [0, 1], over
+        both directions (orientation-agnostic; higher is better)."""
+        cos_ab = np.abs(np.einsum("nc,nc->n", normals_a, normals_b[self.idx_ab]))
+        cos_ba = np.abs(np.einsum("nc,nc->n", normals_b, normals_a[self.idx_ba]))
+        return 0.5 * (float(np.mean(cos_ab)) + float(np.mean(cos_ba)))
+
+
+def match_clouds(a, b) -> CloudMatch:
+    """Match each point of a to its nearest point of b and vice versa."""
+    pa, pb = _points_of(a), _points_of(b)
+    idx_ab = nearest_neighbor_indices(pa, pb)
+    idx_ba = nearest_neighbor_indices(pb, pa)
+    d_ab = np.linalg.norm(pa - pb[idx_ab], axis=1)
+    d_ba = np.linalg.norm(pb - pa[idx_ba], axis=1)
+    return CloudMatch(d_ab, idx_ab, d_ba, idx_ba)
 
 
 def chamfer(a, b, squared: bool = False) -> float:
-    """Symmetric mean nearest-neighbour distance between two clouds.
-
-    With ``squared`` the mean of squared distances is used instead (smooth
-    near zero; this is the variant the fitting loss optimises).
-    """
-    pa, pb = _points_of(a), _points_of(b)
-    d_ab, _ = _nn_distances(pa, pb)
-    d_ba, _ = _nn_distances(pb, pa)
-    if squared:
-        return 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
-    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    """Symmetric mean nearest-neighbour distance; see :meth:`CloudMatch.chamfer`."""
+    return match_clouds(a, b).chamfer(squared)
 
 
 def hausdorff(a, b) -> float:
     """Symmetric maximum nearest-neighbour distance (sample-based)."""
-    pa, pb = _points_of(a), _points_of(b)
-    d_ab, _ = _nn_distances(pa, pb)
-    d_ba, _ = _nn_distances(pb, pa)
-    return max(float(d_ab.max()), float(d_ba.max()))
+    return match_clouds(a, b).hausdorff()
 
 
 def chamfer_normals(a: SampledCloud, b: SampledCloud) -> float:
-    """Mean |cos| of normal angles at chamfer correspondences, in [0, 1].
-
-    Orientation-agnostic: the absolute cosine is averaged over both matching
-    directions.  Higher is better.
-    """
+    """Mean |cos| of normal angles at chamfer correspondences, in [0, 1]."""
     if not isinstance(a, SampledCloud) or not isinstance(b, SampledCloud):
         raise TypeError("chamfer_normals needs SampledCloud inputs with normals")
-    pa, pb = _points_of(a), _points_of(b)
-    idx_ab = nearest_neighbor_indices(pa, pb)
-    idx_ba = nearest_neighbor_indices(pb, pa)
-    cos_ab = np.abs(np.einsum("nc,nc->n", a.normals, b.normals[idx_ab]))
-    cos_ba = np.abs(np.einsum("nc,nc->n", b.normals, a.normals[idx_ba]))
-    return 0.5 * (float(np.mean(cos_ab)) + float(np.mean(cos_ba)))
+    return match_clouds(a, b).chamfer_normals(a.normals, b.normals)
 
 
 def edge_loss(mesh: TriangleMesh) -> float:

@@ -20,13 +20,7 @@ class MetricReport:
     pred_path: str | None = None
     gt_path: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -143,6 +145,24 @@ class TestMetrics:
              "--voxel-spacing", "1", "1", "1", "--out", str(tmp_path / "r.json")]
         )
         assert code == 2
+
+    def test_one_correspondence_per_run(self, tmp_path, sphere_obj, monkeypatch):
+        import flowmesh.metrics.distances as distances
+
+        calls = []
+        original = distances.nearest_neighbor_indices
+
+        def counted(queries, targets):
+            calls.append(len(queries))
+            return original(queries, targets)
+
+        monkeypatch.setattr(distances, "nearest_neighbor_indices", counted)
+        code = main(
+            ["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+             "--samples", "300", "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 0
+        assert calls == [300, 300]
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code = main(
@@ -326,3 +346,17 @@ class TestRefusedInput:
         assert code == 1
         assert "--levels must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_benchmark_span_targets_resolve():
+    """Every library attribute the benchmark's span tracer wraps exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in spans.WRAPPED
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

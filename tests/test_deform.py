@@ -182,9 +182,9 @@ class TestIntegrateInverse:
         stage = DeformationStage(field, 8)
         rng = np.random.default_rng(12)
         pts = rng.uniform(0.1, 0.9, size=(1000, 3))
-        fwd_back = integrate_inverse(stage, integrate(stage, pts), tol=1e-12)
+        fwd_back = integrate_inverse(stage, integrate(stage, pts))
         assert np.linalg.norm(fwd_back - pts, axis=1).max() < 1e-9
-        back_fwd = integrate(stage, integrate_inverse(stage, pts, tol=1e-12))
+        back_fwd = integrate(stage, integrate_inverse(stage, pts))
         assert np.linalg.norm(back_fwd - pts, axis=1).max() < 1e-9
 
 
@@ -290,6 +290,9 @@ class TestNonFiniteInput:
             integrate(stage, pts)
         with pytest.raises(ValueError, match="finite"):
             integrate_inverse(stage, pts)
+        for x in (pts, pts[1]):
+            with pytest.raises(ValueError, match="finite"):
+                euler_step(stage.field, x, stage.h)
 
     def test_invert_step_refuses_before_iterating(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=43, steps=4)

@@ -23,6 +23,7 @@ from flowmesh.metrics import (
     dice,
     edge_loss,
     hausdorff,
+    match_clouds,
     sample_surface,
     self_intersecting_faces,
     triangles_intersect,
@@ -163,6 +164,12 @@ class TestCloudMetrics:
         assert chamfer(a, b) == 0.5 * (d_ab.mean() + d_ba.mean())
         assert hausdorff(a, b) == max(d_ab.max(), d_ba.max())
         assert chamfer(a, b, squared=True) == 0.5 * ((d_ab**2).mean() + (d_ba**2).mean())
+        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        match = match_clouds(a, b)
+        assert np.array_equal(match.idx_ab, d.argmin(axis=1))
+        assert np.array_equal(match.idx_ba, d.argmin(axis=0))
+        assert np.array_equal(match.d_ab, d_ab)
+        assert np.array_equal(match.d_ba, d_ba)
 
     def test_chamfer_normals_brute_force(self):
         rng = np.random.default_rng(7)
