@@ -3,14 +3,17 @@
 Orientation predicates are evaluated in floating point with a conservative
 error filter; ambiguous signs fall back to exact rational arithmetic
 (binary floats convert to Fractions losslessly), so there are no false
-positives or negatives near coplanar or touching configurations.  A
-sweep-and-prune broad phase over face bounding boxes keeps the pair count
-linear in practice, and a vectorised plane-side prefilter rejects the bulk
-of candidate pairs before the exact narrow phase runs.
+positives or negatives near coplanar or touching configurations.  The broad
+phase bins face bounding boxes into a uniform grid of cells no smaller than
+an ordinary face's box, and tests each cell against itself and its forward
+neighbours in fixed-size vectorised chunks; the few outsized faces are
+tested against every face.  A vectorised plane-side prefilter then rejects
+the bulk of candidate pairs before the exact narrow phase runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -159,9 +162,14 @@ def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
 
 
 def triangles_intersect(t1, t2) -> bool:
-    """Exact closed-set intersection test for two 3D triangles."""
+    """Exact closed-set intersection test for two 3D triangles.
+
+    Raises ValueError on a non-finite coordinate.
+    """
     t1 = [tuple(map(float, p)) for p in t1]
     t2 = [tuple(map(float, p)) for p in t2]
+    if not all(math.isfinite(c) for p in t1 + t2 for c in p):
+        raise ValueError("triangle coordinates must be finite")
     s2 = [orient3d(t1[0], t1[1], t1[2], q) for q in t2]
     if all(s > 0 for s in s2) or all(s < 0 for s in s2):
         return False
@@ -181,39 +189,129 @@ def triangles_intersect(t1, t2) -> bool:
     return False
 
 
-def _candidate_pairs(corners: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """AABB-overlapping, vertex-disjoint face pairs via sweep and prune."""
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
-    order = np.argsort(lo[:, 0], kind="stable")
-    lo_s, hi_s = lo[order], hi[order]
-    faces_s = faces[order]
-    out = []
-    starts = np.searchsorted(lo_s[:, 0], hi_s[:, 0], side="right")
-    for i in range(len(order)):
-        j0, j1 = i + 1, starts[i]
-        if j1 <= j0:
-            continue
-        overlap = (
-            (lo_s[j0:j1, 1] <= hi_s[i, 1])
-            & (hi_s[j0:j1, 1] >= lo_s[i, 1])
-            & (lo_s[j0:j1, 2] <= hi_s[i, 2])
-            & (hi_s[j0:j1, 2] >= lo_s[i, 2])
-        )
-        if not overlap.any():
-            continue
-        js = j0 + np.nonzero(overlap)[0]
-        shared = np.zeros(len(js), dtype=bool)
-        for a in range(3):
-            for b in range(3):
-                shared |= faces_s[js, a] == faces_s[i, b]
-        js = js[~shared]
-        if len(js):
-            out.append(np.stack([np.full(len(js), i), js], axis=1))
-    if not out:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs_sorted = np.concatenate(out)
-    return order[pairs_sorted]
+# Candidate pairs expanded per vectorised step of the broad phase and rows
+# per step of the prefilter; bounds their temporaries whatever the number of
+# faces sharing a cell.
+_PAIR_CHUNK = 1 << 13
+
+# Faces whose box extent exceeds this multiple of the median extent do not
+# set the cell size; each is tested against every face instead.
+_OUTSIZED_RATIO = 2.0
+
+# A cell, then its 13 lexicographically positive neighbour offsets, so each
+# unordered pair of adjacent cells is visited once.
+_CELL_OFFSETS = [(0, 0, 0)] + [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) > (0, 0, 0)
+]
+
+
+def _face_boxes(vertices: np.ndarray, faces: np.ndarray):
+    """Per-face bounding box bounds (lo, hi), each (3, F): one row per axis."""
+    lo = vertices.T[:, faces[:, 0]]
+    hi = lo.copy()
+    for k in (1, 2):
+        corner = vertices.T[:, faces[:, k]]
+        np.minimum(lo, corner, out=lo)
+        np.maximum(hi, corner, out=hi)
+    return lo, hi
+
+
+def _disjoint_overlaps(lo, hi, faces_t, i, j):
+    """The pairs (i, j) whose closed boxes overlap and that share no vertex.
+
+    ``lo``/``hi``/``faces_t`` hold one row per axis or corner; ``i`` is an
+    index array like ``j`` or a single face.
+    """
+    i = np.broadcast_to(i, j.shape)
+    for k in range(3):
+        hit = (lo[k, i] <= hi[k, j]) & (lo[k, j] <= hi[k, i])
+        i, j = i[hit], j[hit]
+    keep = np.ones(len(i), dtype=bool)
+    for a in range(3):
+        fi = faces_t[a, i]
+        for b in range(3):
+            keep &= fi != faces_t[b, j]
+    return i[keep], j[keep]
+
+
+def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """AABB-overlapping, vertex-disjoint face pairs via a uniform cell grid.
+
+    Rows are (i, j) with i before j in the stable order of the boxes' lower
+    x bounds, sorted by i's place in that order and then j's.
+
+    Each ordinary face is binned by its box's lower corner into cells whose
+    edge is at least the largest ordinary box extent, so two overlapping
+    boxes lie in the same or adjacent cells on every axis.  The edge gets a
+    relative slack that covers the rounding of the binning, and is at least
+    2**-20 of the grid's span, which keeps cell keys within int64.
+    """
+    n = len(faces)
+    lo, hi = _face_boxes(vertices, faces)
+    faces_t = np.ascontiguousarray(faces.T)
+    order = np.argsort(lo[0], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    extent = (hi - lo).max(axis=0)
+    outsized = extent > _OUTSIZED_RATIO * np.median(extent)
+    found = [np.zeros(0, dtype=np.int64)]
+
+    def record(i, j):
+        # one int64 key per pair, earlier rank * n + later rank, so one sort
+        # yields the row order documented above
+        ri, rj = rank[i], rank[j]
+        found.append(np.minimum(ri, rj) * n + np.maximum(ri, rj))
+
+    ids = np.flatnonzero(~outsized)
+    box_lo = lo[:, ids]
+    shifted = box_lo - box_lo.min(axis=1, keepdims=True)
+    edge = max(float(extent[ids].max()), float(shifted.max()) * 2.0**-20)
+    edge = edge * (1.0 + 2.0**-20) or 1.0
+    cell = np.floor(shifted / edge).astype(np.int64) + 1
+    # Free each (3, F) temporary once used: together they set the peak memory.
+    del box_lo, shifted
+    radix = cell.max(axis=1) + 2
+    key = (cell[0] * radix[1] + cell[1]) * radix[2] + cell[2]
+    del cell
+    by_key = np.argsort(key, kind="stable")
+    members = ids[by_key]
+    cells, start, count = np.unique(key[by_key], return_index=True, return_counts=True)
+    del key, by_key
+    for dx, dy, dz in _CELL_OFFSETS:
+        target = cells + (dx * radix[1] + dy) * radix[2] + dz
+        other = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        hit = cells[other] == target
+        other = other[hit]
+        a_start, b_start, b_count = start[hit], start[other], count[other]
+        # block k holds the count[a] * count[b] pairs of one cell pair (a, b)
+        size = count[hit] * b_count
+        block_end = np.cumsum(size)
+        total = int(size.sum())
+        for s in range(0, total, _PAIR_CHUNK):
+            t = np.arange(s, min(s + _PAIR_CHUNK, total))
+            block = np.searchsorted(block_end, t, side="right")
+            pa, pb = np.divmod(t - (block_end[block] - size[block]), b_count[block])
+            if dx == dy == dz == 0:
+                later = pa < pb
+                block, pa, pb = block[later], pa[later], pb[later]
+            record(*_disjoint_overlaps(
+                lo, hi, faces_t, members[a_start[block] + pa], members[b_start[block] + pb]
+            ))
+
+    everyone = np.arange(n)
+    for i in np.flatnonzero(outsized):
+        record(*_disjoint_overlaps(
+            lo, hi, faces_t, i, np.flatnonzero(~outsized | (everyone > i))
+        ))
+
+    keys = np.sort(np.concatenate(found))
+    found.clear()
+    first, second = np.divmod(keys, n)
+    return np.stack([order[first], order[second]], axis=1)
 
 
 def _plane_side_prefilter(corners: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -221,38 +319,42 @@ def _plane_side_prefilter(corners: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
     Purely a float fast path: a pair is discarded only when all three
     vertices of one triangle are farther from the other's plane than a
-    conservative rounding bound, on the same side.
+    conservative rounding bound, on the same side.  Rows are independent,
+    so they are processed in chunks to bound the temporaries.
     """
-    if len(pairs) == 0:
-        return pairs
     keep = np.ones(len(pairs), dtype=bool)
-    for first, second in ((0, 1), (1, 0)):
-        tri = corners[pairs[:, first]]
-        other = corners[pairs[:, second]]
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        rel = other - tri[:, 0][:, None, :]
-        d = np.einsum("pc,pkc->pk", n, rel)
-        scale = np.abs(tri - tri[:, 0][:, None, :]).max(axis=(1, 2))
-        scale = np.maximum(scale, np.abs(rel).max(axis=(1, 2)))
-        bound = 1e-12 * scale**3
-        separated = np.all(d > bound[:, None], axis=1) | np.all(
-            d < -bound[:, None], axis=1
-        )
-        keep &= ~separated
+    for s in range(0, len(pairs), _PAIR_CHUNK):
+        chunk = pairs[s : s + _PAIR_CHUNK]
+        for first, second in ((0, 1), (1, 0)):
+            tri = corners[chunk[:, first]]
+            other = corners[chunk[:, second]]
+            n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            rel = other - tri[:, 0][:, None, :]
+            d = np.einsum("pc,pkc->pk", n, rel)
+            scale = np.abs(tri - tri[:, 0][:, None, :]).max(axis=(1, 2))
+            scale = np.maximum(scale, np.abs(rel).max(axis=(1, 2)))
+            bound = 1e-12 * scale**3
+            separated = np.all(d > bound[:, None], axis=1) | np.all(
+                d < -bound[:, None], axis=1
+            )
+            keep[s : s + _PAIR_CHUNK] &= ~separated
     return pairs[keep]
 
 
 def self_intersecting_faces(mesh: TriangleMesh) -> tuple[int, float]:
-    """Count faces properly intersecting a non-adjacent face.
+    """Count faces whose closed triangle intersects a non-adjacent face.
 
-    Pairs sharing any vertex are never tested; both faces of an intersecting
-    pair count.  Returns (count, 100 * count / F).
+    Touching counts as intersecting.  Pairs sharing any vertex are never
+    tested; both faces of an intersecting pair count.  Returns
+    (count, 100 * count / F).  Raises ValueError on non-finite vertices.
     """
+    if not np.isfinite(mesh.vertices).all():
+        raise ValueError("mesh vertices must be finite")
     f = mesh.face_count
     if f == 0:
         return 0, 0.0
+    pairs = _candidate_pairs(mesh.vertices, mesh.faces)
     corners = mesh.triangle_corners()
-    pairs = _candidate_pairs(corners, mesh.faces)
     pairs = _plane_side_prefilter(corners, pairs)
     flagged = np.zeros(f, dtype=bool)
     for i, j in pairs:

@@ -1,8 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowmesh import (
     DeformationChain,
@@ -30,6 +34,8 @@ from flowmesh.metrics import (
     volume_similarity,
     voxelize,
 )
+
+from flowmesh.metrics import intersection
 
 from conftest import brute_force_nn_stats, make_gated_field
 
@@ -362,6 +368,192 @@ class TestTriangleIntersectPrimitive:
         assert not triangles_intersect(t1, t2)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_census_refuses(self, bad):
+        sphere = icosphere(3)
+        vertices = sphere.vertices.copy()
+        vertices[5, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self_intersecting_faces(TriangleMesh(vertices, sphere.faces))
+
+    def test_primitive_refuses_infinite_corner(self):
+        t1 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+        t2 = [(0.2, 0.2, -1), (0.3, 0.2, np.inf), (0.2, 0.3, 1)]
+        with pytest.raises(ValueError, match="finite"):
+            triangles_intersect(t1, t2)
+
+
+def sweep_pairs_reference(corners, faces):
+    """The per-face sweep-and-prune broad phase the cell pass replaced."""
+    lo = corners.min(axis=1)
+    hi = corners.max(axis=1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo_s, hi_s = lo[order], hi[order]
+    faces_s = faces[order]
+    out = []
+    starts = np.searchsorted(lo_s[:, 0], hi_s[:, 0], side="right")
+    for i in range(len(order)):
+        j0, j1 = i + 1, starts[i]
+        if j1 <= j0:
+            continue
+        overlap = (
+            (lo_s[j0:j1, 1] <= hi_s[i, 1])
+            & (hi_s[j0:j1, 1] >= lo_s[i, 1])
+            & (lo_s[j0:j1, 2] <= hi_s[i, 2])
+            & (hi_s[j0:j1, 2] >= lo_s[i, 2])
+        )
+        if not overlap.any():
+            continue
+        js = j0 + np.nonzero(overlap)[0]
+        shared = np.zeros(len(js), dtype=bool)
+        for a in range(3):
+            for b in range(3):
+                shared |= faces_s[js, a] == faces_s[i, b]
+        js = js[~shared]
+        if len(js):
+            out.append(np.stack([np.full(len(js), i), js], axis=1))
+    if not out:
+        return np.zeros((0, 2), dtype=np.int64)
+    return order[np.concatenate(out)]
+
+
+def soup_mesh(corners):
+    """One face per (3, 3) corner block, no vertex shared between faces."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 3, 3)
+    n = len(corners)
+    return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+def coincident_copies(n):
+    return soup_mesh(np.tile([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], (n, 1, 1)))
+
+
+def with_spanning_face(mesh):
+    """``mesh`` plus one face spanning its bounding box."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    v = len(mesh.vertices)
+    return TriangleMesh(
+        np.vstack([mesh.vertices, lo, hi, [lo[0], hi[1], lo[2]]]),
+        np.vstack([mesh.faces, [[v, v + 1, v + 2]]]),
+    )
+
+
+def touching_lattice():
+    """Triangles on an integer lattice whose boxes meet exactly on faces,
+    edges and corners (closed intervals)."""
+    axis = np.arange(3.0)
+    origins = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    return soup_mesh(origins.reshape(-1, 1, 3) + [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
+
+
+def degenerate_faces():
+    """Zero-area segments and zero-extent points, each point on a segment end."""
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1, 1, (40, 1, 3))
+    segments = points + rng.uniform(-0.3, 0.3, (40, 1, 3)) * [[0.0], [0.5], [1.0]]
+    return soup_mesh(np.concatenate([segments, np.repeat(points, 3, axis=1)]))
+
+
+def assert_matches_sweep(mesh):
+    expected = sweep_pairs_reference(mesh.triangle_corners(), mesh.faces)
+    pairs = intersection._candidate_pairs(mesh.vertices, mesh.faces)
+    assert pairs.dtype == expected.dtype
+    assert np.array_equal(pairs, expected)
+    return expected
+
+
+_COORDS = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 2.0),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def pooled_meshes(draw):
+    """Small meshes whose faces draw from a shared vertex pool."""
+    count = draw(st.integers(3, 20))
+    vertices = draw(arrays(np.float64, (count, 3), elements=_COORDS))
+    corner = st.integers(0, count - 1)
+    faces = draw(
+        st.lists(st.lists(corner, min_size=3, max_size=3, unique=True), min_size=1, max_size=40)
+    )
+    return TriangleMesh(vertices, faces)
+
+
+class TestBroadPhase:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3), st.just(3)), elements=_COORDS))
+    def test_random_soup_matches_sweep(self, corners):
+        assert_matches_sweep(soup_mesh(corners))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pooled_meshes())
+    def test_shared_vertex_meshes_match_sweep(self, mesh):
+        assert_matches_sweep(mesh)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            touching_lattice,
+            degenerate_faces,
+            lambda: coincident_copies(2000),
+            lambda: with_spanning_face(icosphere(4)),
+            lambda: TriangleMesh(icosphere(4).vertices * [1.0, 0.8, 0.65], icosphere(4).faces),
+        ],
+        ids=["touching", "degenerate", "coincident", "spanning_face", "ellipsoid"],
+    )
+    def test_matches_sweep(self, make):
+        assert len(assert_matches_sweep(make())) > 0
+
+    def test_outsized_face_does_not_set_cell_size(self, monkeypatch):
+        # A cell edge set by the spanning face would put every face in one
+        # cell and examine about F**2 / 2 pairs.
+        mesh = with_spanning_face(icosphere(4))
+        examined = []
+        overlaps = intersection._disjoint_overlaps
+
+        def counting(lo, hi, faces_t, i, j):
+            examined.append(len(j))
+            return overlaps(lo, hi, faces_t, i, j)
+
+        monkeypatch.setattr(intersection, "_disjoint_overlaps", counting)
+        intersection._candidate_pairs(mesh.vertices, mesh.faces)
+        assert sum(examined) <= 64 * mesh.face_count
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: coincident_copies(400), lambda: with_spanning_face(icosphere(4))],
+        ids=["coincident", "spanning_face"],
+    )
+    def test_census_memory_is_bounded(self, make):
+        mesh = make()
+        tracemalloc.start()
+        try:
+            self_intersecting_faces(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_pushed_cap_census_is_pinned(self, monkeypatch):
+        # Count and narrow-phase call count recorded from the sweep-and-prune
+        # broad phase; the pair order fixes which calls the flagged short-cut skips.
+        sphere = icosphere(4)
+        vertices = sphere.vertices.copy()
+        vertices[vertices[:, 2] > 0.7, 2] -= 1.6
+        calls = []
+        exact = intersection.triangles_intersect
+
+        def counting(t1, t2):
+            calls.append(1)
+            return exact(t1, t2)
+
+        monkeypatch.setattr(intersection, "triangles_intersect", counting)
+        assert self_intersecting_faces(TriangleMesh(vertices, sphere.faces)) == (480, 9.375)
+        assert len(calls) == 941
+
+
 class TestVoxelize:
     def test_sphere_volume(self):
         mesh = icosphere(4)
@@ -431,10 +623,6 @@ class TestOverlapScores:
         )
         with pytest.raises(ValueError, match="mismatch"):
             dice(a, other)
-
-
-from hypothesis import given, settings
-from hypothesis.extra.numpy import arrays
 
 
 @settings(max_examples=40, deadline=None)
