@@ -104,6 +104,8 @@ def cmd_deform(args) -> int:
 def cmd_metrics(args) -> int:
     if (args.voxel_dims is None) != (args.voxel_spacing is None):
         raise ValueError("--voxel-dims and --voxel-spacing must be given together")
+    if args.voxel_origin is not None and args.voxel_dims is None:
+        raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
     pred = load_obj(args.pred)
     gt = load_obj(args.gt)
     pred_cloud = sample_surface(pred, args.samples, args.seed)
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--flow", action="append", required=True, metavar="DFF1")
     p.add_argument("--steps", action="append", required=True, type=int)
-    p.add_argument("--gate", choices=["strict", "warn", "off"], default="strict")
+    p.add_argument("--gate", choices=["strict", "warn", "off"], default="strict",
+                   help="gate policy for forward deformation; --inverse needs strict")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_deform)

@@ -212,11 +212,8 @@ def invert_step(
     return result[0] if single else result
 
 
-def integrate_inverse(
-    stage: DeformationStage, points, gate: GatePolicy = "strict"
-) -> np.ndarray:
-    """Undo integrate() by inverting its n steps in reverse order."""
-    check_gate(stage.h, stage.stability, gate)
+def integrate_inverse(stage: DeformationStage, points) -> np.ndarray:
+    """Undo integrate() by inverting its n steps (strictly gated) in reverse."""
     x, single = _as_point_array(points)
     for _ in range(stage.steps):
         x = invert_step(stage.field, x, stage.h, stability=stage.stability)
@@ -232,18 +229,20 @@ def apply_chain(
     """Transform mesh vertices by every stage in order; connectivity is reused.
 
     With ``inverse`` the stages are applied reversed and each one inverted,
-    mapping points back through the chain.  Gate failures carry the index of
-    the offending stage.
+    mapping points back through the chain; inversion needs the strict gate,
+    so ``gate`` governs forward application only.  Gate failures carry the
+    index of the offending stage.
     """
     vertices = mesh.vertices
     stages = list(chain.stages)
     if inverse:
         stages = stages[::-1]
+        gate = "strict"
     for position, stage in enumerate(stages):
         index = len(stages) - 1 - position if inverse else position
         check_gate(stage.h, stage.stability, gate, stage_index=index)
         if inverse:
-            vertices = integrate_inverse(stage, vertices, gate="off")
+            vertices = integrate_inverse(stage, vertices)
         else:
             vertices = integrate(stage, vertices, gate="off")
     return mesh.with_vertices(vertices)

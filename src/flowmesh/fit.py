@@ -317,10 +317,8 @@ def stage_grid_geometry(
     The padding leaves the geometry strictly inside the interior cells, away
     from the pinned zero boundary shell.
     """
-    pts = np.vstack([template.vertices, target.vertices])
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    radius = float(np.linalg.norm(pts - center, axis=1).max())
-    extent = domain_radius * max(radius, 1e-12)
+    center, radius = unit_ball_transform(template.vertices, target.vertices)
+    extent = domain_radius * radius
     dims = tuple(int(n) for n in grid_dims)
     origin = tuple(center[a] - extent for a in range(3))
     spacing = tuple(2.0 * extent / (dims[a] - 1) for a in range(3))
@@ -415,8 +413,6 @@ class FitResult:
     chain: DeformationChain
     traces: tuple[tuple[LossReport, ...], ...]
     final_mesh: TriangleMesh
-    normalization_center: tuple[float, float, float]
-    normalization_scale: float
     template_levels: tuple[int, ...] = dataclass_field(default=())
 
 
@@ -481,7 +477,5 @@ def fit_pipeline(
         chain=chain,
         traces=tuple(traces),
         final_mesh=final_mesh,
-        normalization_center=(float(center[0]), float(center[1]), float(center[2])),
-        normalization_scale=scale,
         template_levels=tuple(levels),
     )

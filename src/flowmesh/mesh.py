@@ -92,20 +92,31 @@ class TopologyReport:
     connected_components: int
 
 
-def unique_edges(faces: np.ndarray) -> np.ndarray:
-    """Undirected edges as sorted index pairs, shape (E, 2), deduplicated."""
+_EDGE_INDEX_LIMIT = 2**31  # keeps the int64 edge keys below 2**62
+
+
+def _edge_table(faces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique edges (E, 2), faces per edge, and the edge id of each of
+    the 3F face sides (all [0, 1] sides, then [1, 2], then [2, 0]), from one
+    1-D ``np.unique`` over the int64 side keys ``min * radix + max``."""
     faces = np.asarray(faces, dtype=np.int64)
     if faces.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    raw = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    raw.sort(axis=1)
-    return np.unique(raw, axis=0)
+        faces = faces.reshape(0, 3)
+    top = faces.max(initial=0)
+    if faces.min(initial=0) < 0 or top >= _EDGE_INDEX_LIMIT:
+        raise ValueError(f"face indices must lie in [0, {_EDGE_INDEX_LIMIT})")
+    radix = top + 1
+    starts, ends = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
+    keys = np.minimum(starts, ends) * radix + np.maximum(starts, ends)
+    del starts, ends  # freed before np.unique's sort buffers, to lower peak memory
+    keys, side_edge, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    edges = np.stack(np.divmod(keys, radix), axis=1)
+    return edges, counts, side_edge
 
 
-def _edge_face_counts(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    raw = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    raw.sort(axis=1)
-    return np.unique(raw, axis=0, return_counts=True)
+def unique_edges(faces: np.ndarray) -> np.ndarray:
+    """Undirected edges as sorted index pairs, shape (E, 2), deduplicated."""
+    return _edge_table(faces)[0]
 
 
 def topology_report(mesh: TriangleMesh) -> TopologyReport:
@@ -117,24 +128,14 @@ def topology_report(mesh: TriangleMesh) -> TopologyReport:
     """
     v = mesh.vertex_count
     f = mesh.face_count
-    if f:
-        edges, counts = _edge_face_counts(mesh.faces)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        counts = np.zeros(0, dtype=np.int64)
+    edges, counts, _ = _edge_table(mesh.faces)
     e = len(edges)
     chi = v - e + f
     closed = f > 0 and bool(np.all(counts == 2))
     edge_manifold = bool(np.all(counts <= 2))
-    if v:
-        if e:
-            ones = np.ones(len(edges), dtype=np.int8)
-            adj = coo_matrix((ones, (edges[:, 0], edges[:, 1])), shape=(v, v))
-            components = int(_csgraph_components(adj, directed=False)[0])
-        else:
-            components = v
-    else:
-        components = 0
+    ones = np.ones(e, dtype=np.int8)
+    adj = coo_matrix((ones, (edges[:, 0], edges[:, 1])), shape=(v, v))
+    components = int(_csgraph_components(adj, directed=False)[0])
     genus = None
     if closed and edge_manifold and components == 1:
         hole_count = 2 - chi
@@ -162,24 +163,15 @@ def midpoint_subdivide(mesh: TriangleMesh) -> TriangleMesh:
     faces = mesh.faces
     if faces.size == 0:
         raise ValueError("cannot subdivide a mesh without faces")
-    edges, counts = _edge_face_counts(faces)
+    edges, counts, side_edge = _edge_table(faces)
     if np.any(counts > 2):
         bad = edges[np.argmax(counts > 2)]
         raise NonManifoldEdgeError(
             f"edge ({bad[0]}, {bad[1]}) is shared by more than 2 faces"
         )
-    # Midpoint vertex ids keyed by the edge's position in the sorted unique
-    # edge array: exact index-pair dedup, no floating point welding.
-    corner_pairs = np.concatenate(
-        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]
-    )
-    corner_pairs.sort(axis=1)
-    # np.unique returns edges lexicographically sorted, so a key search maps
-    # each face corner pair to its edge id directly.
-    keys = edges[:, 0] * (mesh.vertex_count + 1) + edges[:, 1]
-    lookup_keys = corner_pairs[:, 0] * (mesh.vertex_count + 1) + corner_pairs[:, 1]
-    edge_id = np.searchsorted(keys, lookup_keys)
-    mid_index = mesh.vertex_count + edge_id.reshape(3, -1).T  # (F, 3): m01, m12, m20
+    # Midpoint vertex ids are the edge ids: exact index-pair dedup, no
+    # floating point welding.
+    mid_index = mesh.vertex_count + side_edge.reshape(3, -1).T  # (F, 3): m01, m12, m20
 
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.concatenate([mesh.vertices, midpoints])

@@ -27,15 +27,18 @@ class SampledCloud:
         return len(self.points)
 
 
-def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Per-face (b - a) x (c - a): twice the area along the face normal."""
     corners = vertices[faces]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+
+
+def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    return 0.5 * np.linalg.norm(_face_cross(vertices, faces), axis=1)
 
 
 def face_unit_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    corners = vertices[faces]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    cross = _face_cross(vertices, faces)
     norms = np.linalg.norm(cross, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return cross / norms

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 
 from flowmesh import icosphere, load_obj, store_flow, store_obj, topology_report
 from flowmesh.cli import load_schema, main
+from flowmesh.deform import GateWarning
 from flowmesh.flow_field import FlowField, GridGeometry
 
 from conftest import make_gated_field
@@ -75,6 +77,22 @@ class TestDeform:
         b = load_obj(sphere_obj).vertices
         # OBJ writing quantises to 9 significant digits between the two runs
         assert np.abs(a - b).max() < 1e-7
+
+    @pytest.mark.parametrize("gate", ["off", "warn"])
+    def test_inverse_needs_strict_gate_whatever_the_policy(
+        self, tmp_path, sphere_obj, gated_flow, gate, capsys
+    ):
+        out = tmp_path / "back.obj"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["deform", "--mesh", str(sphere_obj), "--flow", str(gated_flow),
+                 "--steps", "1", "--gate", gate, "--inverse", "--out", str(out)]
+            )
+        assert code == 2
+        assert "at stage 0" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, GateWarning)]
+        assert not out.exists()
 
     def test_missing_file_exit_1(self, tmp_path):
         code = main(
@@ -171,6 +189,16 @@ class TestMetrics:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_voxel_origin_without_grid_exit_1(self, tmp_path, sphere_obj, capsys):
+        out = tmp_path / "r.json"
+        code = main(
+            ["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+             "--samples", "100", "--voxel-origin", "0", "0", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "--voxel-origin" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_voxel_dims_without_spacing_exit_1(self, tmp_path, sphere_obj):
         code = main(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from flowmesh import (
     topology_report,
     unique_edges,
 )
+from flowmesh.mesh import _edge_table
 
 
 def single_triangle():
@@ -170,6 +173,184 @@ class TestTopologyReport:
     def test_unique_edges_sorted_pairs(self):
         edges = unique_edges(np.array([[0, 1, 2], [2, 1, 3]]))
         assert edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
+
+
+def sorted_sides(faces):
+    sides = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    sides.sort(axis=1)
+    return sides
+
+
+def edge_counts_reference(faces):
+    """Edges and faces per edge by a row-wise unique over the sorted sides."""
+    return np.unique(sorted_sides(faces), axis=0, return_counts=True)
+
+
+def components_reference(vertex_count, edges):
+    parent = list(range(vertex_count))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in edges.tolist():
+        parent[root(a)] = root(b)
+    return len({root(i) for i in range(vertex_count)})
+
+
+def subdivide_reference(mesh):
+    """Midpoint subdivision with edge ids found by a key search."""
+    faces = mesh.faces
+    edges, counts = edge_counts_reference(faces)
+    if np.any(counts > 2):
+        bad = edges[np.argmax(counts > 2)]
+        raise NonManifoldEdgeError(
+            f"edge ({bad[0]}, {bad[1]}) is shared by more than 2 faces"
+        )
+    corner_pairs = sorted_sides(faces)
+    radix = mesh.vertex_count + 1
+    edge_id = np.searchsorted(
+        edges[:, 0] * radix + edges[:, 1], corner_pairs[:, 0] * radix + corner_pairs[:, 1]
+    )
+    mid_index = mesh.vertex_count + edge_id.reshape(3, -1).T
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    v0, v1, v2 = faces.T
+    m01, m12, m20 = mid_index.T
+    new_faces = np.concatenate(
+        [
+            np.stack([v0, m01, m20], axis=1),
+            np.stack([v1, m12, m01], axis=1),
+            np.stack([v2, m20, m12], axis=1),
+            np.stack([m01, m12, m20], axis=1),
+        ]
+    )
+    return np.concatenate([mesh.vertices, midpoints]), new_faces
+
+
+def assert_matches_references(mesh):
+    edges, counts = edge_counts_reference(mesh.faces)
+    assert np.array_equal(unique_edges(mesh.faces), edges)
+    report = topology_report(mesh)
+    assert report.edge_count == len(edges)
+    assert report.euler_characteristic == mesh.vertex_count - len(edges) + mesh.face_count
+    assert report.closed == (mesh.face_count > 0 and bool(np.all(counts == 2)))
+    assert report.edge_manifold == bool(np.all(counts <= 2))
+    assert report.connected_components == components_reference(mesh.vertex_count, edges)
+    if mesh.face_count == 0:
+        return
+    try:
+        expected = subdivide_reference(mesh)
+    except NonManifoldEdgeError as exc:
+        with pytest.raises(NonManifoldEdgeError, match=re.escape(str(exc))):
+            midpoint_subdivide(mesh)
+        return
+    sub = midpoint_subdivide(mesh)
+    assert np.array_equal(sub.vertices, expected[0])
+    assert np.array_equal(sub.faces, expected[1])
+
+
+def face_lists(labels):
+    """Faces over a few distinct labels, so edges are often shared by 3+ faces."""
+    return st.lists(
+        st.lists(st.sampled_from(labels), min_size=3, max_size=3, unique=True),
+        min_size=1,
+        max_size=24,
+    )
+
+
+# Sparse labels leave index gaps; the largest allowed index is included.
+raw_faces = st.lists(
+    st.integers(0, 2**31 - 1), min_size=3, max_size=10, unique=True
+).flatmap(face_lists)
+
+
+@st.composite
+def gappy_meshes(draw):
+    """Meshes over 100 vertices, most of them unused.
+
+    Half are fans over a few labels (often non-manifold), half are subsets of
+    icosphere(1)'s faces under a random relabelling (edge-manifold, so they
+    subdivide).
+    """
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 99), min_size=3, max_size=10, unique=True))
+        faces = np.array(draw(face_lists(labels)), dtype=np.int64)
+    else:
+        template = icosphere(1).faces
+        rows = draw(st.lists(st.integers(0, len(template) - 1), min_size=1, unique=True))
+        relabel = np.array(draw(st.permutations(range(100)))[:42])
+        faces = relabel[template[rows]]
+    coords = st.floats(-4, 4, allow_nan=False, width=32)
+    vertices = draw(
+        st.lists(st.tuples(coords, coords, coords), min_size=100, max_size=100)
+    )
+    return TriangleMesh(vertices, faces)
+
+
+class TestEdgeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_faces)
+    def test_raw_faces_match_reference(self, faces):
+        faces = np.array(faces, dtype=np.int64)
+        edges, counts, side_edge = _edge_table(faces)
+        ref_edges, ref_counts = edge_counts_reference(faces)
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(edges[side_edge], sorted_sides(faces))
+        assert np.array_equal(unique_edges(faces), ref_edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gappy_meshes())
+    def test_meshes_with_gaps_and_fans_match_reference(self, mesh):
+        assert_matches_references(mesh)
+
+    @pytest.mark.parametrize(
+        "faces",
+        [
+            [[0, 1, 2]],
+            [[5, 9, 2]],
+            [[0, 1, 2], [1, 0, 3], [0, 1, 4]],  # fan of 3 faces on edge (0, 1)
+            [[0, 1, 2], [0, 1, 2]],
+        ],
+    )
+    def test_small_cases_match_reference(self, faces):
+        mesh = TriangleMesh(np.random.default_rng(0).normal(size=(10, 3)), faces)
+        assert_matches_references(mesh)
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_icospheres_match_reference(self, level):
+        assert_matches_references(icosphere(level))
+
+    def test_side_edges_index_the_sorted_sides(self):
+        faces = icosphere(3).faces
+        edges, counts, side_edge = _edge_table(faces)
+        assert side_edge.shape == (3 * len(faces),)
+        assert np.array_equal(edges[side_edge], sorted_sides(faces))
+        assert np.array_equal(np.bincount(side_edge), counts)
+
+    @pytest.mark.parametrize("empty", [np.zeros((0, 3), dtype=np.int64), np.array([])])
+    def test_empty_faces(self, empty):
+        edges, counts, side_edge = _edge_table(empty)
+        assert edges.shape == (0, 2) and counts.shape == (0,) and side_edge.shape == (0,)
+        assert unique_edges(empty).shape == (0, 2)
+
+    def test_mesh_without_faces(self):
+        report = topology_report(TriangleMesh(np.zeros((4, 3)), np.zeros((0, 3))))
+        assert report.edge_count == 0 and report.euler_characteristic == 4
+        assert not report.closed and report.edge_manifold
+        assert report.connected_components == 4 and report.genus is None
+        assert topology_report(TriangleMesh(np.zeros((0, 3)), [])).connected_components == 0
+
+    def test_largest_index_is_exact(self):
+        top = 2**31 - 1
+        edges = unique_edges(np.array([[top, 0, top - 1]]))
+        assert edges.tolist() == [[0, top - 1], [0, top], [top - 1, top]]
+
+    @pytest.mark.parametrize("bad", [-1, 2**31])
+    def test_rejects_indices_outside_key_range(self, bad):
+        with pytest.raises(ValueError, match="face indices"):
+            unique_edges(np.array([[0, 1, bad]]))
 
 
 class TestObjIO:
