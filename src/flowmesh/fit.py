@@ -34,12 +34,14 @@ from .flow_field import (
     GridGeometry,
     TrilinearStencil,
     _boundary_mask,
-    sample_grid,
+    sample_grid,  # unused here; perfbench/spans.py wraps it and sample_surface
+    scatter_add,
     stability_from_grid,
 )
 from .mesh import TriangleMesh, midpoint_subdivide, unique_edges
 from .metrics.distances import CloudMatch, match_clouds, mean_squared_edge_length
-from .metrics.sampling import draw_surface_samples, points_from_draw, sample_surface
+from .metrics.sampling import _draw_from_areas, draw_surface_samples, points_from_draw
+from .metrics.sampling import sample_surface, triangle_areas
 
 MOMENTUM = 0.9
 
@@ -196,7 +198,7 @@ class Intermediates:
 
     problem: StageProblem
     params: np.ndarray
-    step_points: list[np.ndarray]  # vertex positions before each Euler step
+    step_stencils: list[TrilinearStencil]  # of the vertices before each Euler step
     deformed_vertices: np.ndarray
     face_idx: np.ndarray
     bary: np.ndarray
@@ -211,7 +213,7 @@ def forward_loss(
 
     ``draw`` fixes the (face index, barycentric) surface draw; by default a
     fresh draw is taken from the deformed mesh with the problem's sample seed.
-    The returned intermediates retain per-step positions and correspondences
+    The returned intermediates retain per-step stencils and correspondences
     for :func:`backward`.
     """
     geometry = problem.geometry
@@ -225,10 +227,11 @@ def forward_loss(
     margin = check_gate(h, stability_from_grid(geometry, params), problem.gate)
 
     x = np.array(problem.start_vertices, dtype=np.float64)
-    step_points = []
+    step_stencils = []
     for _ in range(problem.steps):
-        step_points.append(x)
-        x = x + h * sample_grid(geometry, params, x)
+        stencil = TrilinearStencil(geometry, x)
+        step_stencils.append(stencil)
+        x = x + h * stencil.sample(params)
     deformed = x
 
     mesh = TriangleMesh(deformed, problem.faces)
@@ -249,7 +252,7 @@ def forward_loss(
     inter = Intermediates(
         problem=problem,
         params=params,
-        step_points=step_points,
+        step_stencils=step_stencils,
         deformed_vertices=deformed,
         face_idx=face_idx,
         bary=bary,
@@ -275,23 +278,22 @@ def backward(inter: Intermediates) -> np.ndarray:
     idx_ab, idx_ba = inter.match.idx_ab, inter.match.idx_ba
 
     grad_pred = (w_c / n_pred) * (pred - target[idx_ab])
-    np.add.at(grad_pred, idx_ba, (w_c / n_tgt) * (pred[idx_ba] - target))
+    scatter_add(grad_pred, idx_ba, (w_c / n_tgt) * (pred[idx_ba] - target))
 
     grad_v = np.zeros_like(inter.deformed_vertices)
     scatter = inter.bary[:, :, None] * grad_pred[:, None, :]
-    np.add.at(grad_v, problem.faces[inter.face_idx].ravel(), scatter.reshape(-1, 3))
+    scatter_add(grad_v, problem.faces[inter.face_idx].ravel(), scatter.reshape(-1, 3))
 
     if w_e != 0.0:
         e0, e1 = problem.edges[:, 0], problem.edges[:, 1]
         delta = inter.deformed_vertices[e0] - inter.deformed_vertices[e1]
         coeff = 2.0 * w_e / len(problem.edges)
-        np.add.at(grad_v, e0, coeff * delta)
-        np.add.at(grad_v, e1, -coeff * delta)
+        scatter_add(grad_v, e0, coeff * delta)
+        scatter_add(grad_v, e1, -coeff * delta)
 
     grad = np.zeros_like(inter.params)
     grad_x = grad_v
-    for x in reversed(inter.step_points):
-        stencil = TrilinearStencil(geometry, x)
+    for stencil in reversed(inter.step_stencils):
         g_in = grad_x[stencil.inside]
         stencil.scatter(grad.reshape(-1, 3), g_in, h)
         grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
@@ -350,6 +352,7 @@ def fit_stage(
     else:
         start = template.vertices
     edges = unique_edges(template.faces)
+    target_areas = triangle_areas(target.vertices, target.faces)
 
     params = np.zeros(geometry.dims + (3,), dtype=np.float64)
     velocity = np.zeros_like(params)
@@ -361,14 +364,14 @@ def fit_stage(
     for iteration in range(scfg.iterations):
         pred_seed = derive_seed(config.seed, stage_index, iteration, 0)
         target_seed = derive_seed(config.seed, stage_index, iteration, 1)
-        target_cloud = sample_surface(target, config.sample_count, target_seed)
+        target_draw = _draw_from_areas(target_areas, config.sample_count, target_seed)
         problem = StageProblem(
             geometry=geometry,
             steps=scfg.steps,
             start_vertices=start,
             faces=template.faces,
             edges=edges,
-            target_points=target_cloud.points,
+            target_points=points_from_draw(target.vertices, target.faces, *target_draw),
             chamfer_weight=config.chamfer_weight,
             edge_weight=config.edge_weight,
             sample_count=config.sample_count,
@@ -379,6 +382,8 @@ def fit_stage(
         if not math.isfinite(terms.total):
             raise FitDivergedError(stage_index, trace)
         grad = backward(inter)
+        draw = (inter.face_idx, inter.bary)
+        del inter  # the stencils are not needed past the reverse pass
         grad_norm = float(np.sqrt((grad * grad).sum()))
         trace.append(LossReport(iteration=iteration, grad_norm=grad_norm, **asdict(terms)))
         if terms.total < best_total:
@@ -389,9 +394,7 @@ def fit_stage(
         candidate = params + velocity
         candidate[_boundary_mask(geometry.dims)] = 0.0
         try:
-            cand_terms, _ = forward_loss(
-                candidate, problem, draw=(inter.face_idx, inter.bary)
-            )
+            cand_terms = forward_loss(candidate, problem, draw=draw)[0]
         except GateViolationError:  # strict gate; a NaN margin raises too
             accepted = False
         else:

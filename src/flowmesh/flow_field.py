@@ -175,6 +175,22 @@ def _boundary_mask(dims: tuple[int, int, int]) -> np.ndarray:
 _CORNERS = np.array(
     [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)], dtype=np.int64
 )
+_DU = np.array([-1.0, 1.0])  # d/dt of the axis factors (1 - t, t)
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """Unbuffered ``out[index] += values`` on a float64 (N,) or (N, C) array,
+    index entries in [0, N), bitwise equal to ``np.add.at``: per column,
+    ``np.bincount`` sums in input order after each row's current value.  Its
+    sums start from ``+0.0``, so a ``-0.0`` in ``out`` that receives nothing
+    (or only ``-0.0``) comes back ``+0.0``; ``np.zeros`` never holds ``-0.0``."""
+    n = out.shape[0]
+    keys = np.concatenate([np.arange(n), np.ravel(index)])
+    columns = out if out.ndim == 2 else out[:, None]
+    rows = np.reshape(values, (-1, columns.shape[1]))
+    for c in range(columns.shape[1]):
+        weights = np.concatenate([columns[:, c], rows[:, c]])
+        columns[:, c] = np.bincount(keys, weights, minlength=n)
 
 
 def _stencil_weights(local: np.ndarray) -> np.ndarray:
@@ -204,15 +220,17 @@ class TrilinearStencil:
     and have no row.  A point on a cell face takes the cell above it, except
     on the grid's upper faces, which belong to the last cell.
 
-    ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend`` and
-    ``jacobians`` evaluate the interpolant, ``scatter`` and
-    ``jacobian_transpose`` are their adjoints for reverse-mode gradients.
+    ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend``,
+    ``sample`` (all ``count`` points, zero outside) and ``jacobians`` evaluate
+    the interpolant, ``scatter`` and ``jacobian_transpose`` are their
+    adjoints for reverse-mode gradients.
     """
 
-    __slots__ = ("geometry", "inside", "flat", "local")
+    __slots__ = ("geometry", "count", "inside", "flat", "local")
 
     def __init__(self, geometry: GridGeometry, points: np.ndarray):
         self.geometry = geometry
+        self.count = len(points)
         self.inside = np.flatnonzero(geometry.contains(points))
         pts = points if len(self.inside) == len(points) else points[self.inside]
         dims = np.array(geometry.dims, dtype=np.int64)
@@ -226,25 +244,36 @@ class TrilinearStencil:
         self.flat = flat_base[:, None] + offsets[None, :]
 
     def _corners(self, data64: np.ndarray) -> np.ndarray:
-        return data64.reshape(-1, 3)[self.flat]  # (n, 8, 3)
+        return np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
 
     def _weight_gradients(self) -> np.ndarray:
         """d(weight)/d(world position) for the 8 corners, shape (n, 8, 3)."""
-        t = self.local
-        spacing = np.array(self.geometry.spacing, dtype=np.float64)
-        u = np.stack([1.0 - t, t], axis=2)  # (n, 3, 2): axis factors
-        du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
-        grads = np.empty((t.shape[0], 8, 3), dtype=np.float64)
-        for p, (a, b, c) in enumerate(_CORNERS):
-            fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
-            grads[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
-            grads[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
-            grads[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
+        n = len(self.local)
+        spacing = self.geometry.spacing
+        # axis factors (1 - t, t) and their derivatives as (2, 1, 1, n),
+        # (1, 2, 1, n) and (1, 1, 2, n): the broadcast products list the
+        # corners in _CORNERS order
+        f = np.stack([1.0 - self.local.T, self.local.T])  # (2, 3, n)
+        fx, fy, fz = f[:, 0, None, None], f[None, :, 1, None], f[None, None, :, 2]
+        dx, dy, dz = _DU[:, None, None, None], _DU[:, None, None], _DU[:, None]
+        grads = np.empty((n, 8, 3), dtype=np.float64)
+        grads[:, :, 0] = (dx * fy * fz / spacing[0]).reshape(8, n).T
+        grads[:, :, 1] = (fx * dy * fz / spacing[1]).reshape(8, n).T
+        grads[:, :, 2] = (fx * fy * dz / spacing[2]).reshape(8, n).T
         return grads
 
     def blend(self, data64: np.ndarray) -> np.ndarray:
         """Interpolated node vectors, shape (n, 3)."""
         return np.einsum("np,npc->nc", _stencil_weights(self.local), self._corners(data64))
+
+    def sample(self, data64: np.ndarray) -> np.ndarray:
+        """The interpolant at every point of the batch, zero outside; (N, 3)."""
+        values = self.blend(data64)
+        if len(values) == self.count:
+            return values
+        out = np.zeros((self.count, 3), dtype=np.float64)
+        out[self.inside] = values
+        return out
 
     def jacobians(self, data64: np.ndarray) -> np.ndarray:
         """Spatial Jacobians dv/dx of the interpolant, shape (n, 3, 3)."""
@@ -254,7 +283,7 @@ class TrilinearStencil:
         """Adjoint of ``blend`` in the node data: adds ``scale * weight * grad``
         of each row to its 8 corner rows of the (nodes, 3) array ``out``."""
         weights = _stencil_weights(self.local)
-        np.add.at(out, self.flat, scale * weights[:, :, None] * grad[:, None, :])
+        scatter_add(out, self.flat, scale * weights[:, :, None] * grad[:, None, :])
 
     def jacobian_transpose(self, data64: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Adjoint of ``blend`` in the points: J^T grad per row, shape (n, 3)."""
@@ -269,13 +298,7 @@ def sample_grid(geometry: GridGeometry, data64: np.ndarray, points) -> np.ndarra
     finite point is accepted.
     """
     pts, single = _as_point_array(points)
-    stencil = TrilinearStencil(geometry, pts)
-    values = stencil.blend(data64)
-    if len(values) == len(pts):
-        out = values
-    else:
-        out = np.zeros_like(pts)
-        out[stencil.inside] = values
+    out = TrilinearStencil(geometry, pts).sample(data64)
     return out[0] if single else out
 
 

@@ -53,14 +53,19 @@ def draw_surface_samples(
     trick maps two uniforms to barycentric coordinates that are uniform over
     the triangle.  Deterministic given the seed.
     """
+    return _draw_from_areas(triangle_areas(mesh.vertices, mesh.faces), n, seed)
+
+
+def _draw_from_areas(areas: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """draw_surface_samples from given face areas, which a caller drawing
+    repeatedly from one fixed mesh computes once."""
     if n < 1:
         raise ValueError("sample count must be positive")
-    areas = triangle_areas(mesh.vertices, mesh.faces)
     total = areas.sum()
-    if mesh.face_count == 0 or total <= 0.0:
+    if len(areas) == 0 or total <= 0.0:
         raise ValueError("mesh has no face with positive area")
     rng = np.random.default_rng(seed)
-    face_idx = rng.choice(mesh.face_count, size=n, p=areas / total)
+    face_idx = rng.choice(len(areas), size=n, p=areas / total)
     u = rng.random(n)
     v = rng.random(n)
     su = np.sqrt(u)

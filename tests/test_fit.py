@@ -23,7 +23,7 @@ from flowmesh.fit import (
     stage_grid_geometry,
     unit_ball_transform,
 )
-from flowmesh.flow_field import _boundary_mask
+from flowmesh.flow_field import _boundary_mask, _stencil_weights
 from flowmesh.mesh import unique_edges
 from flowmesh.metrics import chamfer, edge_loss, sample_surface
 
@@ -203,6 +203,90 @@ class TestBackward:
         params = random_interior_params(geometry, seed=11)
         _, inter = forward_loss(params, problem)
         assert not backward(inter).any()
+
+
+def reference_backward(inter):
+    """The reverse pass before stencil reuse: ``np.add.at`` scatters and a
+    stencil rebuilt at each step from the positions, recomputed here."""
+    from flowmesh.flow_field import TrilinearStencil, sample_grid
+
+    problem = inter.problem
+    geometry = problem.geometry
+    h = 1.0 / problem.steps
+    step_points = [np.array(problem.start_vertices, dtype=np.float64)]
+    for _ in range(problem.steps - 1):
+        x = step_points[-1]
+        step_points.append(x + h * sample_grid(geometry, inter.params, x))
+
+    w_c, w_e = problem.chamfer_weight, problem.edge_weight
+    pred = inter.pred_points
+    target = problem.target_points
+    idx_ab, idx_ba = inter.match.idx_ab, inter.match.idx_ba
+    grad_pred = (w_c / len(pred)) * (pred - target[idx_ab])
+    np.add.at(grad_pred, idx_ba, (w_c / len(target)) * (pred[idx_ba] - target))
+    grad_v = np.zeros_like(inter.deformed_vertices)
+    scatter = inter.bary[:, :, None] * grad_pred[:, None, :]
+    np.add.at(grad_v, problem.faces[inter.face_idx].ravel(), scatter.reshape(-1, 3))
+    if w_e != 0.0:
+        e0, e1 = problem.edges[:, 0], problem.edges[:, 1]
+        delta = inter.deformed_vertices[e0] - inter.deformed_vertices[e1]
+        coeff = 2.0 * w_e / len(problem.edges)
+        np.add.at(grad_v, e0, coeff * delta)
+        np.add.at(grad_v, e1, -coeff * delta)
+    grad = np.zeros_like(inter.params)
+    grad_x = grad_v
+    for x in reversed(step_points):
+        stencil = TrilinearStencil(geometry, x)
+        g_in = grad_x[stencil.inside]
+        weights = _stencil_weights(stencil.local)
+        np.add.at(
+            grad.reshape(-1, 3), stencil.flat, h * weights[:, :, None] * g_in[:, None, :]
+        )
+        grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
+    grad[_boundary_mask(geometry.dims)] = 0.0
+    return grad
+
+
+class TestBackwardReference:
+    """``backward`` reuses the forward stencils and scatters with
+    ``scatter_add``; its gradient must equal the reference bitwise."""
+
+    @staticmethod
+    def problem(steps, edge_weight):
+        template = icosphere(1, radius=0.6)
+        geometry = GridGeometry((6, 5, 7), (-0.5, -0.7, -0.45), (0.2, 0.3, 0.15))
+        start = template.vertices.copy()
+        upper = geometry.upper
+        for axis in range(3):  # vertices on each upper face, others past it
+            start[axis * 3:(axis + 1) * 3, axis] = upper[axis]
+        start[9] = upper
+        target = icosphere(2, radius=0.7)
+        return StageProblem(
+            geometry=geometry,
+            steps=steps,
+            start_vertices=start,
+            faces=template.faces,
+            edges=unique_edges(template.faces),
+            target_points=sample_surface(target, 300, seed=4).points,
+            chamfer_weight=1.0,
+            edge_weight=edge_weight,
+            sample_count=200,
+            sample_seed=5,
+        )
+
+    @pytest.mark.parametrize("steps", [1, 8])
+    @pytest.mark.parametrize("edge_weight", [0.0, 1.0])
+    def test_equals_reference_bitwise(self, steps, edge_weight):
+        problem = self.problem(steps, edge_weight)
+        geometry = problem.geometry
+        inside = geometry.contains(problem.start_vertices)
+        assert 10 <= inside.sum() < len(inside)
+        params = random_interior_params(geometry, seed=steps, scale=0.01)
+        _, inter = forward_loss(params, problem)
+        assert len(inter.step_stencils) == steps
+        expected = reference_backward(inter)
+        assert expected.any()
+        assert backward(inter).tobytes() == expected.tobytes()
 
 
 class TestFitStage:

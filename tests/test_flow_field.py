@@ -16,7 +16,7 @@ from flowmesh import (
     stability_estimate,
     store_flow,
 )
-from flowmesh.flow_field import DFF1_MAGIC, _boundary_mask
+from flowmesh.flow_field import _CORNERS, DFF1_MAGIC, _boundary_mask, scatter_add
 
 from conftest import make_gated_field, stability_oracle, trilinear_oracle
 
@@ -386,3 +386,88 @@ class TestTrilinearStencil:
         assert np.allclose(
             stencil.jacobian_transpose(data, g), expected, rtol=1e-12, atol=1e-12
         )
+
+    def test_sample_is_blend_with_zero_outside(self):
+        from flowmesh.flow_field import sample_grid
+
+        geometry, data, pts, stencil = self.batch()
+        full = stencil.sample(data)
+        assert full.shape == pts.shape
+        assert np.array_equal(full[stencil.inside], stencil.blend(data))
+        outside = np.ones(len(pts), dtype=bool)
+        outside[stencil.inside] = False
+        assert not full[outside].any()
+        assert np.array_equal(sample_grid(geometry, data, pts), full)
+
+    def test_kernels_equal_reference_formulas_bitwise(self):
+        """The weights, the gather, the scatter and the weight gradients are
+        bitwise equal to the per-corner, fancy-index, ``np.add.at`` and loop
+        formulas."""
+        from flowmesh.flow_field import _stencil_weights
+
+        geometry, data, _, stencil = self.batch()
+        t = stencil.local
+        m = 1.0 - t
+        yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
+        expected = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
+        assert _stencil_weights(t).tobytes() == expected.tobytes()
+        assert stencil._corners(data).tobytes() == data.reshape(-1, 3)[stencil.flat].tobytes()
+
+        g = np.random.default_rng(35).normal(size=(len(stencil.inside), 3))
+        out = np.zeros((data.size // 3, 3))
+        stencil.scatter(out, g, 0.125)
+        expected = np.zeros_like(out)
+        weights = _stencil_weights(stencil.local)
+        np.add.at(expected, stencil.flat, 0.125 * weights[:, :, None] * g[:, None, :])
+        assert out.tobytes() == expected.tobytes()
+
+        spacing = np.array(geometry.spacing)
+        u = np.stack([1.0 - t, t], axis=2)
+        du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
+        loop = np.empty((t.shape[0], 8, 3))
+        for p, (a, b, c) in enumerate(_CORNERS):
+            fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
+            loop[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
+            loop[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
+            loop[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
+        assert stencil._weight_gradients().tobytes() == loop.tobytes()
+
+
+class TestScatterAdd:
+    """``scatter_add`` must equal ``np.add.at`` byte for byte: it relies on
+    ``np.bincount`` adding its weights in input order."""
+
+    @staticmethod
+    def spread(rng, shape):
+        # signed magnitudes over 16 decades, so any reordering of a sum shows
+        return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_add_at(self, columns, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        shape = (n,) if columns is None else (n, columns)
+        out = self.spread(rng, shape)
+        index = rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))  # repeats
+        values = self.spread(rng, index.shape + shape[1:])
+        expected = out.copy()
+        np.add.at(expected, index, values)
+        scatter_add(out, index, values)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    def test_empty_index_keeps_out(self, shape):
+        out = self.spread(np.random.default_rng(1), shape)
+        before = out.tobytes()
+        scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0,) + shape[1:]))
+        assert out.tobytes() == before
+
+    def test_untouched_negative_zero_becomes_positive(self):
+        # the one documented difference from np.add.at: sums start from +0.0
+        out = np.array([-0.0, -0.0, 2.0, -0.0])
+        expected = out.copy()
+        np.add.at(expected, [1, 3], [-0.0, 1.5])
+        scatter_add(out, np.array([1, 3]), np.array([-0.0, 1.5]))
+        assert expected.tobytes() == np.array([-0.0, -0.0, 2.0, 1.5]).tobytes()
+        assert out.tobytes() == np.array([0.0, 0.0, 2.0, 1.5]).tobytes()
