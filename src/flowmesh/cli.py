@@ -35,6 +35,7 @@ from .flow_field import (
     store_flow,
 )
 from .mesh import (
+    MAX_ICOSPHERE_LEVEL,
     MeshFormatError,
     NonManifoldEdgeError,
     load_obj,
@@ -212,10 +213,26 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# The largest output `subdivide` builds: the faces of the largest icosphere.
+_MAX_SUBDIVIDED_FACES = 20 * 4**MAX_ICOSPHERE_LEVEL
+
+
+def _subdivision_fits(face_count: int, levels: int) -> bool:
+    """Whether ``face_count * 4**levels`` is at most _MAX_SUBDIVIDED_FACES
+    (computed without forming ``4**levels``, whatever ``levels`` is)."""
+    return face_count <= _MAX_SUBDIVIDED_FACES >> (2 * levels)
+
+
 def cmd_subdivide(args) -> int:
     if args.levels < 0:
         raise ValueError(f"--levels must be non-negative, got {args.levels}")
     mesh = load_obj(args.mesh)
+    if not _subdivision_fits(mesh.face_count, args.levels):
+        _say(
+            f"error: {mesh.face_count} faces subdivided {args.levels} times exceed "
+            f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})"
+        )
+        return EXIT_PRECONDITION
     for _ in range(args.levels):
         mesh = midpoint_subdivide(mesh)
     store_obj(mesh, args.out)

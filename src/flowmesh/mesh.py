@@ -3,6 +3,7 @@ templates and midpoint subdivision."""
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -251,16 +252,81 @@ def icosphere(
     return mesh.with_vertices(mesh.vertices * radius + center)
 
 
+# Bytes a plain vertex or face section may hold: its keyword, the digits
+# and signs of a decimal number, and the separators.  Anything else
+# (comments, CR line ends, nan/inf, other records) goes to the line parser.
+_VERTEX_ALPHABET = b"v0123456789.eE+- \t\n"
+_FACE_ALPHABET = b"f0123456789 \t\n"
+
+
+def _record_values(section: bytes, key: bytes, alphabet: bytes, dtype) -> np.ndarray | None:
+    """The values of ``section`` when it is whole lines ``key a b c`` written
+    in ``alphabet`` alone, parsed as ``dtype``; otherwise None."""
+    if not section:
+        return np.empty(0, dtype)
+    if section.translate(None, alphabet) or not section.endswith(b"\n"):
+        return None
+    lines = section.count(b"\n")
+    tokens = section.split()
+    # Every line after the first starts with the key byte, and the lone key
+    # token fills every 4th of 4 tokens per line.  A line's first token
+    # anywhere else would be parsed below as a value and fail, so each line
+    # is `key` and 3 values.
+    if (
+        section.count(b"\n" + key) != lines - 1
+        or len(tokens) != 4 * lines
+        or tokens[::4].count(key) != lines
+    ):
+        return None
+    del tokens[::4]
+    try:
+        # numpy parses each bytes token with Python's own float() / int()
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _plain_triangle_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices and 0-based faces of a file that is `v x y z` lines with
+    finite coordinates followed by `f i j k` lines, or None when the file is
+    not provably such a file.  TriangleMesh checks the index range."""
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    split = data.find(b"f")  # the first face keyword, if the file is plain
+    if split < 0:
+        split = len(data)
+    vertices = _record_values(data[:split], b"v", _VERTEX_ALPHABET, np.float64)
+    if vertices is None or not np.isfinite(vertices).all():
+        return None
+    faces = _record_values(data[split:], b"f", _FACE_ALPHABET, np.int64)
+    if faces is None:
+        return None
+    return vertices.reshape(-1, 3), faces.reshape(-1, 3) - 1
+
+
 def load_obj(path) -> TriangleMesh:
     """Parse the restricted ASCII OBJ subset: `v x y z` and `f i j k [l...]`.
 
     Indices are 1-based; polygons with more than 3 vertices are
     fan-triangulated around the first vertex.  Comments (#) and blank lines
     are ignored; anything else is a parse error.
+
+    A file of `v` lines followed by triangle `f` lines, and nothing else, is
+    read in one vectorised pass.  Every other file, and every file that pass
+    refuses, goes through the line parser below, which gives the same arrays
+    and names the line of the first error.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    arrays = _plain_triangle_arrays(data)
+    if arrays is not None:
+        try:
+            return TriangleMesh(*arrays)
+        except ValueError:
+            pass  # the line parser raises it as a MeshFormatError
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -314,9 +380,8 @@ def load_obj(path) -> TriangleMesh:
 
 
 def store_obj(mesh: TriangleMesh, path) -> None:
-    """Write v/f records with 9-significant-digit coordinates."""
+    """Write v/f records with 9-significant-digit coordinates, in one write."""
+    text = ("v %.9g %.9g %.9g\n" * mesh.vertex_count) % tuple(mesh.vertices.ravel().tolist())
+    text += ("f %d %d %d\n" * mesh.face_count) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write(text)

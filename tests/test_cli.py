@@ -375,6 +375,39 @@ class TestRefusedInput:
         assert "--levels must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subdivide_too_many_faces_exit_2_before_building(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import flowmesh.cli
+
+        def refuse(mesh):
+            raise AssertionError("subdivision started")
+
+        monkeypatch.setattr(flowmesh.cli, "midpoint_subdivide", refuse)
+        src, out = tmp_path / "ico2.obj", tmp_path / "sub.obj"
+        store_obj(icosphere(2), src)
+        code = main(["subdivide", "--mesh", str(src), "--levels", "12", "--out", str(out)])
+        assert code == 2
+        assert "320 faces subdivided 12 times exceed 1310720 faces" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_subdivision_guard_boundary():
+    from flowmesh.cli import _MAX_SUBDIVIDED_FACES, _subdivision_fits
+
+    assert _MAX_SUBDIVIDED_FACES == icosphere(0).face_count * 4**8 == 1_310_720
+    for levels in range(13):
+        largest = _MAX_SUBDIVIDED_FACES // 4**levels
+        assert _subdivision_fits(largest, levels)
+        assert largest * 4**levels <= _MAX_SUBDIVIDED_FACES
+        assert not _subdivision_fits(largest + 1, levels)
+        assert (largest + 1) * 4**levels > _MAX_SUBDIVIDED_FACES
+    assert _subdivision_fits(20, 8) and not _subdivision_fits(20, 9)
+    assert _subdivision_fits(320, 6) and not _subdivision_fits(320, 7)
+    assert _subdivision_fits(1, 10) and not _subdivision_fits(1, 11)
+    assert not _subdivision_fits(1, 10**30)
+    assert _subdivision_fits(0, 10**30)
+
 
 def test_benchmark_span_targets_resolve():
     """Every library attribute the benchmark's span tracer wraps exists."""

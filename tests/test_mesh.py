@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from flowmesh import (
     topology_report,
     unique_edges,
 )
-from flowmesh.mesh import _edge_table
+from flowmesh.mesh import _edge_table, _plain_triangle_arrays
 
 
 def single_triangle():
@@ -433,3 +434,256 @@ def test_load_obj_rejects_non_finite_coordinates(tmp_path, coords):
     path.write_text(f"v 0 0 0\nv {coords}\nv 0 1 0\nf 1 2 3\n")
     with pytest.raises(MeshFormatError, match="line 2: non-finite"):
         load_obj(path)
+
+
+def reference_load_obj(path) -> TriangleMesh:
+    """The line-by-line reader that load_obj replaced, kept as its oracle."""
+    vertices: list[list[float]] = []
+    faces: list[list[int]] = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            parts = stripped.split()
+            if parts[0] == "v":
+                if len(parts) != 4:
+                    raise MeshFormatError(
+                        f"vertex record needs 3 coordinates, got {len(parts) - 1}",
+                        line=lineno,
+                    )
+                try:
+                    coords = [float(p) for p in parts[1:]]
+                except ValueError as exc:
+                    raise MeshFormatError(f"bad coordinate: {exc}", line=lineno) from exc
+                if not all(map(math.isfinite, coords)):
+                    raise MeshFormatError("non-finite coordinate", line=lineno)
+                vertices.append(coords)
+            elif parts[0] == "f":
+                if len(parts) < 4:
+                    raise MeshFormatError(
+                        f"face record needs at least 3 indices, got {len(parts) - 1}",
+                        line=lineno,
+                    )
+                try:
+                    idx = [int(p) for p in parts[1:]]
+                except ValueError as exc:
+                    raise MeshFormatError(f"bad face index: {exc}", line=lineno) from exc
+                if any(i < 1 for i in idx):
+                    raise MeshFormatError(
+                        "face indices are 1-based and must be positive", line=lineno
+                    )
+                if any(i > len(vertices) for i in idx):
+                    raise MeshFormatError(
+                        f"face index {max(idx)} exceeds vertex count {len(vertices)}",
+                        line=lineno,
+                    )
+                zero_based = [i - 1 for i in idx]
+                for a, b in zip(zero_based[1:], zero_based[2:]):
+                    faces.append([zero_based[0], a, b])
+            else:
+                raise MeshFormatError(
+                    f"unsupported record {parts[0]!r} (only v and f are accepted)",
+                    line=lineno,
+                )
+    verts = np.array(vertices, dtype=np.float64).reshape(-1, 3)
+    try:
+        return TriangleMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    except ValueError as exc:
+        raise MeshFormatError(str(exc)) from exc
+
+
+def reference_store_obj(mesh: TriangleMesh, path) -> None:
+    """The per-row writer that store_obj replaced, kept as its oracle."""
+    with open(path, "w", encoding="ascii") as fh:
+        for x, y, z in mesh.vertices:
+            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for a, b, c in mesh.faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+
+def assert_loads_like_reference(path):
+    """load_obj gives the reference's arrays bit for bit, or raises the same
+    exception type with the same message and line."""
+    try:
+        expected = reference_load_obj(path)
+    except Exception as exc:  # compared below, whatever it is
+        with pytest.raises(Exception) as info:
+            load_obj(path)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "line", None) == getattr(exc, "line", None)
+        return
+    mesh = load_obj(path)
+    for got, want in ((mesh.vertices, expected.vertices), (mesh.faces, expected.faces)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+TRIANGLE = b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+# Files the vectorised pass must hand to the line parser, or read the same.
+OBJ_CASES = {
+    "plain": TRIANGLE + b"f 1 2 3\n",
+    "no final newline": TRIANGLE + b"f 1 2 3",
+    "zero index": TRIANGLE + b"f 0 1 2\n",
+    "out of range index": TRIANGLE + b"f 1 2 4\n",
+    "negative index": TRIANGLE + b"f -1 2 3\n",
+    "index beyond int64": TRIANGLE + b"f 1 2 99999999999999999999\n",
+    "repeated index": TRIANGLE + b"f 1 1 2\n",
+    "two indices": TRIANGLE + b"f 1 2\n",
+    "float index": TRIANGLE + b"f 1 2 3.0\n",
+    "signed and padded indices": TRIANGLE + b"f +1 002 3\n",
+    "vn record": b"v 0 0 0\nvn 0 0 1\n",
+    "unknown record": TRIANGLE + b"vt 0 0\nf 1 2 3\n",
+    "bad coordinate": b"v 0 zero 0\n",
+    "two coordinates": b"v 0 0\n",
+    "four coordinates": TRIANGLE + b"v 0 0 0 1\nf 1 2 3\n",
+    "nan": b"v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n",
+    "inf": b"v 0 0 0\nv 0 inf 0\nv 0 1 0\nf 1 2 3\n",
+    "overflowing coordinate": b"v 0 0 0\nv 0 0 1e400\nv 0 1 0\nf 1 2 3\n",
+    "underflowing coordinate": b"v 0 0 0\nv 0 0 1e-400\nv 0 1 -0\nf 1 2 3\n",
+    "underscored tokens": b"v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1_0 2 3\n",
+    "underscored coordinate": b"v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n",
+    "arabic-indic digit": b"v 0 0 0\nv \xd9\xa1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "non-ascii past the first chunk": TRIANGLE * 500 + b"f 1 2 3\nv \xd9\xa1 0 0\n",
+    "comment lines": b"# header\n" + TRIANGLE + b"# faces\nf 1 2 3\n",
+    "trailing comments": b"v 0 0 0 # a\nv 1 0 0#b\nv 0 1 0\nf 1 2 3 # c\n",
+    "hash in a token": b"v 0 0 0\nv 1#0 0 0\nv 0 1 0\nf 1 2 3\n",
+    "blank lines": b"\n" + TRIANGLE + b"\n  \n\t\nf 1 2 3\n\n",
+    "crlf": TRIANGLE.replace(b"\n", b"\r\n") + b"f 1 2 3\r\n",
+    "cr only": TRIANGLE.replace(b"\n", b"\r") + b"f 1 2 3\r",
+    "tabs": b"v\t0\t0\t0\nv 1\t0 0\nv\t0 1\t\t0\t\nf\t1\t2\t3\n",
+    "form feed and vertical tab": b"v 0 0 0\nv 1\x0c0 0\nv 0 1\x0b0\nf 1 2 3\n",
+    "file separator": b"v 0 0 0\nv 1\x1c0 0\nv 0 1 0\nf 1 2 3\n",
+    "padded first line": b"  v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "padded lines": b"  v 0 0 0\nv 1 0 0   \nv  0  1  0\n f 1 2 3 \n",
+    "glued keyword": b"v0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "glued face keyword": TRIANGLE + b"f1 2 3\n",
+    "glued keyword and three values": b"v0 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "glued face keyword and three values": TRIANGLE + b"f1 1 2 3\n",
+    "cr inside a vertex line": b"v 0 0 0\nv 1 0\r0\nv 0 1 0\nf 1 2 3\n",
+    "cr inside a face line": TRIANGLE + b"f 1 2\r3\n",
+    "crlf faces": TRIANGLE + b"f 1 2 3\r\n",
+    "comment after the faces": TRIANGLE + b"f 1 2 3 # c\n",
+    "keyword at line end": b"v 0 0 0 v\n1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "keyword inside a line": b"v 0 0 0\nv 1 0 v 0\nv 0 1 0\nf 1 2 3\n",
+    "face keyword inside a vertex line": b"v 0 0 0\nv 1 0 0 f 1 2 3\nv 0 1 0\n",
+    "quad": b"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+    "pentagon after triangle": b"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0 2 0\n"
+    b"f 1 2 3\nf 1 2 3 4 5\n",
+    "face before its vertex": b"v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n",
+    "vertex after the faces": TRIANGLE + b"f 1 2 3\nv 5 5 5\n",
+    "empty file": b"",
+    "only newlines": b"\n\n",
+    "no faces": TRIANGLE,
+    "only faces": b"f 1 2 3\n",
+    "signs and exponents": b"v -0 +1.5 .5\nv 1. -2E+3 4e-2\nv 6.02214076e23 -1e-308 5e-324\n"
+    b"f 3 2 1\n",
+    "doubled signs": b"v 0 0 0\nv --1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "bare exponent": b"v 0 0 0\nv 1e 0 0\nv 0 1 0\nf 1 2 3\n",
+    "lone keyword lines": b"v\nf\n",
+    "keyword only vertex": TRIANGLE + b"v\nf 1 2 3\n",
+}
+
+
+class TestLoadObjMatchesReference:
+    @pytest.mark.parametrize("name", sorted(OBJ_CASES))
+    def test_case(self, tmp_path, name):
+        path = tmp_path / "case.obj"
+        path.write_bytes(OBJ_CASES[name])
+        assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_written_meshes(self, tmp_path, level):
+        path = tmp_path / "sphere.obj"
+        store_obj(icosphere(level, radius=1.3, center=(0.1, -2.0, 1e-7)), path)
+        assert_loads_like_reference(path)
+
+    def test_plain_files_take_the_vectorised_pass(self, tmp_path):
+        path = tmp_path / "sphere.obj"
+        store_obj(icosphere(3), path)
+        plain = [path.read_bytes()] + [
+            OBJ_CASES[name]
+            for name in ("plain", "no final newline", "tabs", "signs and exponents",
+                         "underflowing coordinate", "padded first line", "no faces",
+                         "empty file")
+        ]
+        for data in plain:
+            vertices, faces = _plain_triangle_arrays(data)
+            TriangleMesh(vertices, faces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["v", "f", "vn", "", "#", "f1", "v0"]),
+                st.lists(
+                    st.sampled_from(
+                        ["0", "1", "2", "3", "4", "-1", "1.5", "-0", "1e3", "1e400",
+                         "nan", "inf", "1_0", "+2", "e", "v", "f", "#", "x", "007",
+                         "99999999999999999999"]
+                    ),
+                    max_size=5,
+                ),
+                st.sampled_from([" ", "\t", "  ", " \t"]),
+                st.sampled_from(["\n", "\r\n", "\r", " \n", "#c\n"]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_random_line_soups(self, tmp_path_factory, records):
+        text = "".join(
+            sep.join([key, *values]) + end for key, values, sep, end in records
+        )
+        path = tmp_path_factory.mktemp("soup") / "soup.obj"
+        path.write_bytes(text.encode("ascii"))
+        assert_loads_like_reference(path)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 12).flatmap(
+        lambda v: st.tuples(
+            st.lists(st.tuples(finite_floats, finite_floats, finite_floats),
+                     min_size=v, max_size=v),
+            st.lists(st.permutations(range(v)).map(lambda p: p[:3]), max_size=10),
+        )
+    )
+)
+def test_store_load_round_trip_is_the_9_digit_rounding(tmp_path_factory, mesh_lists):
+    coords, faces = mesh_lists
+    mesh = TriangleMesh(np.array(coords, dtype=np.float64), np.array(faces).reshape(-1, 3))
+    path = tmp_path_factory.mktemp("rt") / "rt.obj"
+    store_obj(mesh, path)
+    assert _plain_triangle_arrays(path.read_bytes()) is not None
+    loaded = load_obj(path)
+    rounded = [[float(f"{x:.9g}") for x in row] for row in coords]
+    assert loaded.vertices.tobytes() == np.array(rounded, dtype=np.float64).reshape(-1, 3).tobytes()
+    assert np.array_equal(loaded.faces, mesh.faces)
+    assert_loads_like_reference(path)
+
+
+class TestStoreObjBytes:
+    def _assert_same_bytes(self, tmp_path, mesh):
+        store_obj(mesh, tmp_path / "new.obj")
+        reference_store_obj(mesh, tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+    def test_icosphere_6(self, tmp_path):
+        self._assert_same_bytes(tmp_path, icosphere(6, radius=0.7, center=(1.0, -3.0, 2.5)))
+
+    def test_extreme_values(self, tmp_path):
+        rows = [
+            [-0.0, 5e-324, 1e300],
+            [-1e-300, 123456789.0, -0.000123456789],
+            [1.23456789e-5, 9.87654321e20, -9.99999999e-100],
+            [0.1, 2.0 / 3.0, -1.0 / 7.0],
+        ]
+        self._assert_same_bytes(tmp_path, TriangleMesh(rows, [[0, 1, 2], [3, 2, 1]]))
+
+    def test_no_faces(self, tmp_path):
+        self._assert_same_bytes(tmp_path, TriangleMesh([[1.0, 2.0, 3.0]], np.zeros((0, 3))))

@@ -28,6 +28,7 @@ from flowmesh.metrics import (
     edge_loss,
     hausdorff,
     match_clouds,
+    nearest_neighbor_indices,
     sample_surface,
     self_intersecting_faces,
     triangles_intersect,
@@ -176,6 +177,23 @@ class TestCloudMetrics:
         assert np.array_equal(match.idx_ba, d.argmin(axis=0))
         assert np.array_equal(match.d_ab, d_ab)
         assert np.array_equal(match.d_ba, d_ba)
+
+    def test_tied_targets_give_the_minimum_distance(self):
+        """On lattices, many queries are equally near to 2, 4 or 8 targets.
+        Which of the tied targets nearest_neighbor_indices returns is
+        unspecified; its distance must equal the all-pairs minimum."""
+        axis = np.arange(8.0)
+        targets = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        half = np.arange(-0.5, 8.0, 0.5)
+        queries = np.stack(np.meshgrid(half, half, half, indexing="ij"), -1).reshape(-1, 3)
+        for q, t in ((queries, targets), (targets, queries)):
+            idx = nearest_neighbor_indices(q, t)
+            d = np.linalg.norm(q - t[idx], axis=1)
+            d_all = np.linalg.norm(q[:, None, :] - t[None, :, :], axis=2)
+            assert np.array_equal(d, d_all.min(axis=1))
+        d_all = np.linalg.norm(queries[:, None, :] - targets[None, :, :], axis=2)
+        ties = (d_all == d_all.min(axis=1, keepdims=True)).sum(axis=1)
+        assert set(ties.tolist()) == {1, 2, 4, 8}
 
     def test_chamfer_normals_brute_force(self):
         rng = np.random.default_rng(7)
