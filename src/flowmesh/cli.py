@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -63,6 +64,9 @@ EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
+# The most supersampled cells `metrics` voxelizes: 512**3, a 128 MiB boolean grid.
+_MAX_VOXEL_CELLS = 2**27
+
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
@@ -107,6 +111,12 @@ def cmd_metrics(args) -> int:
         raise ValueError("--voxel-dims and --voxel-spacing must be given together")
     if args.voxel_origin is not None and args.voxel_dims is None:
         raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
+    if args.voxel_dims is not None:
+        s = max(args.voxel_supersample, 0)  # invalid values are refused later, exit 1
+        cells = math.prod(max(n - 1, 0) * s for n in args.voxel_dims)
+        if cells > _MAX_VOXEL_CELLS:
+            _say(f"error: {cells} supersampled voxel cells exceed {_MAX_VOXEL_CELLS} (512**3)")
+            return EXIT_PRECONDITION
     pred = load_obj(args.pred)
     gt = load_obj(args.gt)
     pred_cloud = sample_surface(pred, args.samples, args.seed)

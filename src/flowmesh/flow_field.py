@@ -215,10 +215,10 @@ class TrilinearStencil:
 
     Rows are the points inside the closed grid domain, in batch order:
     ``inside`` holds their indices into the (N, 3) batch, ``flat`` the (n, 8)
-    flat node indices of their cell corners and ``local`` their (n, 3)
-    coordinates within the cell.  Points outside the grid see a zero field
-    and have no row.  A point on a cell face takes the cell above it, except
-    on the grid's upper faces, which belong to the last cell.
+    flat node indices of their cell corners, ``weights`` those corners' (n, 8)
+    trilinear weights and ``local`` the (n, 3) coordinates within the cell.
+    Points outside see a zero field and have no row.  A point on a cell face
+    takes the cell above it, except on the grid's upper faces (the last cell).
 
     ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend``,
     ``sample`` (all ``count`` points, zero outside) and ``jacobians`` evaluate
@@ -226,7 +226,7 @@ class TrilinearStencil:
     adjoints for reverse-mode gradients.
     """
 
-    __slots__ = ("geometry", "count", "inside", "flat", "local")
+    __slots__ = ("geometry", "count", "inside", "flat", "local", "weights")
 
     def __init__(self, geometry: GridGeometry, points: np.ndarray):
         self.geometry = geometry
@@ -238,6 +238,7 @@ class TrilinearStencil:
         base = np.floor(rel).astype(np.int64)
         np.clip(base, 0, dims - 2, out=base)
         self.local = np.clip(rel - base, 0.0, 1.0)
+        self.weights = _stencil_weights(self.local)
         _, W, D = geometry.dims
         flat_base = (base[:, 0] * W + base[:, 1]) * D + base[:, 2]
         offsets = (_CORNERS[:, 0] * W + _CORNERS[:, 1]) * D + _CORNERS[:, 2]
@@ -264,7 +265,7 @@ class TrilinearStencil:
 
     def blend(self, data64: np.ndarray) -> np.ndarray:
         """Interpolated node vectors, shape (n, 3)."""
-        return np.einsum("np,npc->nc", _stencil_weights(self.local), self._corners(data64))
+        return np.einsum("np,npc->nc", self.weights, self._corners(data64))
 
     def sample(self, data64: np.ndarray) -> np.ndarray:
         """The interpolant at every point of the batch, zero outside; (N, 3)."""
@@ -282,8 +283,7 @@ class TrilinearStencil:
     def scatter(self, out: np.ndarray, grad: np.ndarray, scale: float) -> None:
         """Adjoint of ``blend`` in the node data: adds ``scale * weight * grad``
         of each row to its 8 corner rows of the (nodes, 3) array ``out``."""
-        weights = _stencil_weights(self.local)
-        scatter_add(out, self.flat, scale * weights[:, :, None] * grad[:, None, :])
+        scatter_add(out, self.flat, scale * self.weights[:, :, None] * grad[:, None, :])
 
     def jacobian_transpose(self, data64: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Adjoint of ``blend`` in the points: J^T grad per row, shape (n, 3)."""

@@ -1,10 +1,12 @@
 """Watertight-mesh voxelization by ray parity, plus overlap scores.
 
-Each voxel center is classified by counting crossings of a +x ray against the
-mesh.  Crossings are gathered per (y, z) column, so every center in a column
-shares one sorted crossing list.  Grazing hits (the ray meeting a triangle
-edge or vertex within floating-point uncertainty) are resolved by nudging the
-whole column deterministically and retrying, up to 8 times.
+Each voxel center is classified by counting crossings of the +x ray of its
+(y, z) column against the mesh.  One batched pass, in fixed-size chunks,
+evaluates the edge functions of every (triangle, column) row of each
+triangle's (y, z) box.  A grazing row (the ray meeting an edge or vertex
+within floating-point uncertainty) sends its column to another pass at the
+next deterministic nudge, up to 8 times.  Each crossing toggles one (cell
+boundary, column) flag; a running xor along x turns the flags into occupancy.
 """
 
 from __future__ import annotations
@@ -64,40 +66,31 @@ class OccupancyGrid:
         return float(self.occupied.sum()) * self.cell_volume
 
     def same_grid(self, other: "OccupancyGrid") -> bool:
-        return (
-            self.geometry == other.geometry and self.supersample == other.supersample
-        )
+        return self.geometry == other.geometry and self.supersample == other.supersample
 
 
 # Deterministic per-attempt column nudges, in units of the cell size.
-_JITTER = [(0.0, 0.0)] + [
-    (1.9e-5 * k, 3.1e-5 * k + 7e-6) for k in range(1, 9)
-]
+_JITTER = [(0.0, 0.0)] + [(1.9e-5 * k, 3.1e-5 * k + 7e-6) for k in range(1, 9)]
+
+# (triangle, column) rows classified per vectorised step; bounds the row
+# temporaries whatever the number of columns a triangle's box covers.
+_ROW_CHUNK = 1 << 13
 
 
-def _column_crossings(point_y, point_z, tri2d, tri_x):
-    """Crossing x values of the vertical line through (y, z), or None if any
-    candidate triangle yields an ambiguous (grazing) orientation."""
-    crossings = []
-    for t in range(len(tri2d)):
-        (ay, az), (by, bz), (cy, cz) = tri2d[t]
-        e0 = (by - ay) * (point_z - az) - (bz - az) * (point_y - ay)
-        e1 = (cy - by) * (point_z - bz) - (cz - bz) * (point_y - by)
-        e2 = (ay - cy) * (point_z - cz) - (az - cz) * (point_y - cy)
-        b0 = 4e-16 * (abs((by - ay) * (point_z - az)) + abs((bz - az) * (point_y - ay)))
-        b1 = 4e-16 * (abs((cy - by) * (point_z - bz)) + abs((cz - bz) * (point_y - by)))
-        b2 = 4e-16 * (abs((ay - cy) * (point_z - cz)) + abs((az - cz) * (point_y - cy)))
-        pos = int(e0 > b0) + int(e1 > b1) + int(e2 > b2)
-        neg = int(e0 < -b0) + int(e1 < -b1) + int(e2 < -b2)
-        if pos and neg:
-            continue  # certainly outside
-        if pos == 3 or neg == 3:
-            area2 = e0 + e1 + e2
-            x = (e1 * tri_x[t][0] + e2 * tri_x[t][1] + e0 * tri_x[t][2]) / area2
-            crossings.append(x)
-            continue
-        return None  # grazing: some orientation is uncertain
-    return crossings
+def _rows(j0, j1, k0, k1, columns):
+    """Chunks (tri, j, k) of the rows of each triangle's column box j0..j1 x k0..k1, in
+    triangle, then j, then k order, whose column is marked in the mask ``columns``."""
+    width = np.maximum(k1 - k0 + 1, 0)
+    size = np.maximum(j1 - j0 + 1, 0) * width
+    row_end = np.cumsum(size)
+    total = int(size.sum())
+    for start in range(0, total, _ROW_CHUNK):
+        row = np.arange(start, min(start + _ROW_CHUNK, total))
+        tri = np.searchsorted(row_end, row, side="right")
+        dj, dk = np.divmod(row - (row_end[tri] - size[tri]), width[tri])
+        j, k = j0[tri] + dj, k0[tri] + dk
+        keep = columns[j, k]
+        yield tri[keep], j[keep], k[keep]
 
 
 def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -> OccupancyGrid:
@@ -106,78 +99,75 @@ def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -
         raise ValueError("supersample must be a positive integer")
     report = topology_report(mesh)
     if not (report.closed and report.edge_manifold):
-        raise NotWatertightError(
-            "mesh is not watertight (closed + edge-manifold required)"
-        )
+        raise NotWatertightError("mesh is not watertight (closed + edge-manifold required)")
     s = int(supersample)
     nx, ny, nz = ((n - 1) * s for n in geometry.dims)
     ox, oy, oz = geometry.origin
-    cx = geometry.spacing[0] / s
-    cy = geometry.spacing[1] / s
-    cz = geometry.spacing[2] / s
+    cx, cy, cz = (d / s for d in geometry.spacing)
     xs = ox + (np.arange(nx) + 0.5) * cx
     ys = oy + (np.arange(ny) + 0.5) * cy
     zs = oz + (np.arange(nz) + 0.5) * cz
 
+    # The (y, z) columns each triangle's projection can touch.
     corners = mesh.triangle_corners()  # (F, 3, 3)
-    occupied = np.zeros((nx, ny, nz), dtype=bool)
-
-    # Bin triangles into the (y, z) columns their projection can touch.
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
-    j0 = np.ceil((lo[:, 1] - oy) / cy - 0.5).astype(np.int64)
-    j1 = np.floor((hi[:, 1] - oy) / cy - 0.5).astype(np.int64)
-    k0 = np.ceil((lo[:, 2] - oz) / cz - 0.5).astype(np.int64)
-    k1 = np.floor((hi[:, 2] - oz) / cz - 0.5).astype(np.int64)
+    ty, tz = corners[:, :, 1], corners[:, :, 2]
+    j0 = np.ceil((ty.min(axis=1) - oy) / cy - 0.5).astype(np.int64)
+    j1 = np.floor((ty.max(axis=1) - oy) / cy - 0.5).astype(np.int64)
+    k0 = np.ceil((tz.min(axis=1) - oz) / cz - 0.5).astype(np.int64)
+    k1 = np.floor((tz.max(axis=1) - oz) / cz - 0.5).astype(np.int64)
     np.clip(j0, 0, ny - 1, out=j0)
     np.clip(j1, -1, ny - 1, out=j1)
     np.clip(k0, 0, nz - 1, out=k0)
     np.clip(k1, -1, nz - 1, out=k1)
 
-    columns: dict[tuple[int, int], list[int]] = {}
-    for t in range(len(corners)):
-        if j1[t] < j0[t] or k1[t] < k0[t]:
-            continue
-        for j in range(j0[t], j1[t] + 1):
-            for k in range(k0[t], k1[t] + 1):
-                columns.setdefault((j, k), []).append(t)
+    # flips[p, j, k] toggles once per crossing above exactly p of the column's
+    # centers.  A column with a grazing row is cleared and goes again.
+    flips = np.zeros((nx + 1, ny, nz), dtype=bool)
+    pending = np.ones((ny, nz), dtype=bool)
+    for dy, dz in _JITTER:
+        y, z = ys + dy * cy, zs + dz * cz
+        grazing = np.zeros((ny, nz), dtype=bool)
+        for tri, j, k in _rows(j0, j1, k0, k1, pending):
+            a = corners[tri, :, 1:]  # (n, 3, 2): (y, z) of vertex m, and of
+            b = a[:, [1, 2, 0]]  # vertex m + 1, for edge m
+            u = (b[..., 0] - a[..., 0]) * (z[k, None] - a[..., 1])
+            v = (b[..., 1] - a[..., 1]) * (y[j, None] - a[..., 0])
+            e = u - v  # edge functions e0, e1, e2
+            bound = 4e-16 * (np.abs(u) + np.abs(v))
+            pos = (e > bound).sum(axis=1)
+            neg = (e < -bound).sum(axis=1)
+            crosses = (pos == 3) | (neg == 3)
+            grazes = ~crosses & ((pos == 0) | (neg == 0))  # some sign uncertain
+            grazing[j[grazes], k[grazes]] = True
+            e, tx = e[crosses], corners[tri[crosses], :, 0]
+            area2 = e[:, 0] + e[:, 1] + e[:, 2]
+            x = (e[:, 1] * tx[:, 0] + e[:, 2] * tx[:, 1] + e[:, 0] * tx[:, 2]) / area2
+            np.logical_xor.at(flips, (np.searchsorted(xs, x), j[crosses], k[crosses]), True)
+        flips[:, grazing] = False
+        pending = grazing
+        if not pending.any():
+            break
+    else:  # name the failing column whose first row comes first
+        j, k = next((j[0], k[0]) for _, j, k in _rows(j0, j1, k0, k1, pending) if len(j))
+        raise VoxelizationError(
+            f"column ({j}, {k}) stayed degenerate after {len(_JITTER) - 1} retries"
+        )
 
-    tri_yz = corners[:, :, 1:]  # (F, 3, 2)
-    tri_x = corners[:, :, 0]  # (F, 3)
-    for (j, k), tris in columns.items():
-        tri2d = tri_yz[tris]
-        txs = tri_x[tris]
-        crossings = None
-        for dy, dz in _JITTER:
-            crossings = _column_crossings(
-                ys[j] + dy * cy, zs[k] + dz * cz, tri2d, txs
-            )
-            if crossings is not None:
-                break
-        if crossings is None:
-            raise VoxelizationError(
-                f"column ({j}, {k}) stayed degenerate after {len(_JITTER) - 1} retries"
-            )
-        if not crossings:
-            continue
-        hits = np.sort(np.array(crossings))
-        # Center is inside iff an odd number of crossings lie beyond it (+x ray).
-        above = len(hits) - np.searchsorted(hits, xs, side="right")
-        occupied[:, j, k] = (above % 2) == 1
-
-    return OccupancyGrid(geometry=geometry, supersample=s, occupied=occupied)
+    # A center is inside iff an odd number of crossings lie beyond it (+x
+    # ray): occupied[i] is the parity of flips[i + 1:].
+    np.logical_xor.accumulate(flips[::-1], axis=0, out=flips[::-1])
+    return OccupancyGrid(geometry=geometry, supersample=s, occupied=flips[1:])
 
 
-def _check_same_grid(a: OccupancyGrid, b: OccupancyGrid) -> None:
+def _occupied_counts(a: OccupancyGrid, b: OccupancyGrid) -> tuple[int, int]:
     if not a.same_grid(b):
         raise ValueError("occupancy grids have mismatched geometry")
+    return int(a.occupied.sum()), int(b.occupied.sum())
 
 
 def dice(a: OccupancyGrid, b: OccupancyGrid) -> float:
     """Dice overlap 2|A&B| / (|A| + |B|); 1.0 when both grids are empty."""
-    _check_same_grid(a, b)
-    na = int(a.occupied.sum())
-    nb = int(b.occupied.sum())
+    na, nb = _occupied_counts(a, b)
     if na + nb == 0:
         return 1.0
     inter = int(np.logical_and(a.occupied, b.occupied).sum())
@@ -186,9 +176,7 @@ def dice(a: OccupancyGrid, b: OccupancyGrid) -> float:
 
 def volume_similarity(a: OccupancyGrid, b: OccupancyGrid) -> float:
     """1 - ||A| - |B|| / (|A| + |B|); 1.0 when both grids are empty."""
-    _check_same_grid(a, b)
-    na = int(a.occupied.sum())
-    nb = int(b.occupied.sum())
+    na, nb = _occupied_counts(a, b)
     if na + nb == 0:
         return 1.0
     return 1.0 - abs(na - nb) / (na + nb)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -391,6 +392,27 @@ class TestRefusedInput:
         assert "320 faces subdivided 12 times exceed 1310720 faces" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_metrics_too_many_voxel_cells_exit_2_before_loading(
+        self, tmp_path, sphere_obj, monkeypatch, capsys
+    ):
+        import flowmesh.cli
+
+        def refuse(*args):
+            raise AssertionError("mesh loaded or voxelized")
+
+        monkeypatch.setattr(flowmesh.cli, "load_obj", refuse)
+        monkeypatch.setattr(flowmesh.cli, "voxelize", refuse)
+        out = tmp_path / "r.json"
+        code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                     "--voxel-dims", "17", "17", "17",
+                     "--voxel-spacing", "0.15", "0.15", "0.15",
+                     "--voxel-supersample", "2000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        cells = (16 * 2000) ** 3
+        assert f"error: {cells} supersampled voxel cells exceed 134217728 (512**3)" in err
+        assert not out.exists()
+
 
 def test_subdivision_guard_boundary():
     from flowmesh.cli import _MAX_SUBDIVIDED_FACES, _subdivision_fits
@@ -407,6 +429,77 @@ def test_subdivision_guard_boundary():
     assert _subdivision_fits(1, 10) and not _subdivision_fits(1, 11)
     assert not _subdivision_fits(1, 10**30)
     assert _subdivision_fits(0, 10**30)
+
+
+def _metrics_voxel_exit(tmp_path, sphere_obj, dims, supersample, capsys):
+    """Exit code and stderr of `metrics` on a voxel grid (callers replace
+    `voxelize`, so no grid is ever allocated)."""
+    out = tmp_path / "r.json"
+    code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                 "--samples", "10", "--voxel-dims", *map(str, dims),
+                 "--voxel-spacing", "0.1", "0.1", "0.1",
+                 "--voxel-supersample", str(supersample), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_voxel_guard_boundary(tmp_path, sphere_obj, monkeypatch, capsys):
+    import flowmesh.cli
+    from flowmesh.cli import _MAX_VOXEL_CELLS
+    from flowmesh.metrics import VoxelizationError
+
+    calls = []
+
+    def stub(mesh, geometry, supersample):
+        calls.append((geometry.dims, supersample))
+        raise VoxelizationError("voxelize reached")
+
+    monkeypatch.setattr(flowmesh.cli, "voxelize", stub)
+    assert _MAX_VOXEL_CELLS == 512**3 == 2**27
+    # (largest fitting grid, one step past it): one more node per axis ...
+    pairs = [(((512 // s + 1,) * 3, s), ((512 // s + 2,) * 3, s))
+             for s in (1, 2, 3, 4, 5, 7, 32, 511, 512)]
+    # ... one more supersample step ...
+    pairs += [(((d,) * 3, 512 // (d - 1)), ((d,) * 3, 512 // (d - 1) + 1))
+              for d in (2, 3, 17, 65, 129, 513)]
+    # ... or one more node on the last axis of a flat grid.
+    pairs += [(((2, 2, 2**27 + 1), 1), ((2, 2, 2**27 + 2), 1)),
+              (((3, 5, 2**21 + 1), 2), ((3, 5, 2**21 + 2), 2))]
+    for (dims, s), (bigger, t) in pairs:
+        assert math.prod((n - 1) * s for n in dims) <= _MAX_VOXEL_CELLS
+        assert _metrics_voxel_exit(tmp_path, sphere_obj, dims, s, capsys) == (
+            3, "error: voxelize reached\n"
+        )
+        assert calls.pop() == (dims, s)
+        over = math.prod((n - 1) * t for n in bigger)
+        assert over > _MAX_VOXEL_CELLS
+        code, err = _metrics_voxel_exit(tmp_path, sphere_obj, bigger, t, capsys)
+        assert code == 2
+        assert f"error: {over} supersampled voxel cells exceed {_MAX_VOXEL_CELLS}" in err
+    assert calls == []
+
+
+def test_voxel_guard_leaves_invalid_grids_to_their_refusals(
+    tmp_path, sphere_obj, monkeypatch, capsys
+):
+    import flowmesh.cli
+
+    real = flowmesh.cli.voxelize
+
+    def refusing_only(mesh, geometry, supersample):
+        assert supersample < 1, "an oversized grid reached voxelize"
+        return real(mesh, geometry, supersample)  # raises before allocating
+
+    monkeypatch.setattr(flowmesh.cli, "voxelize", refusing_only)
+    for dims, s, message in [
+        ((1, 10**9, 10**9), 4, "need at least 2 nodes per axis"),
+        ((-10**9, -10**9, 17), 4, "need at least 2 nodes per axis"),
+        ((10**9, 10**9, 10**9), 0, "supersample must be a positive integer"),
+        ((10**9, 10**9, 10**9), -3, "supersample must be a positive integer"),
+    ]:
+        code, err = _metrics_voxel_exit(tmp_path, sphere_obj, dims, s, capsys)
+        assert code == 1
+        assert message in err
 
 
 def test_benchmark_span_targets_resolve():
