@@ -67,6 +67,10 @@ EXIT_NUMERICAL = 3
 # The most supersampled cells `metrics` voxelizes: 512**3, a 128 MiB boolean grid.
 _MAX_VOXEL_CELLS = 2**27
 
+# The most surface samples `metrics` draws per mesh: 2**22, 21 times the
+# default.  A run peaks at about 256 B per sample, so about 1 GiB here.
+_MAX_SAMPLES = 2**22
+
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
@@ -111,6 +115,9 @@ def cmd_metrics(args) -> int:
         raise ValueError("--voxel-dims and --voxel-spacing must be given together")
     if args.voxel_origin is not None and args.voxel_dims is None:
         raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
+    if args.samples > _MAX_SAMPLES:  # zero and negative counts are refused later, exit 1
+        _say(f"error: {args.samples} samples exceed {_MAX_SAMPLES} (2**22)")
+        return EXIT_PRECONDITION
     if args.voxel_dims is not None:
         s = max(args.voxel_supersample, 0)  # invalid values are refused later, exit 1
         cells = math.prod(max(n - 1, 0) * s for n in args.voxel_dims)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,10 +254,14 @@ def icosphere(
 
 
 # Bytes a plain vertex or face section may hold: its keyword, the digits
-# and signs of a decimal number, and the separators.  Anything else
-# (comments, CR line ends, nan/inf, other records) goes to the line parser.
+# and signs of a decimal number, and the separators.  Anything else (trailing
+# comments, lone CRs, nan/inf, other records) goes to the line parser.
 _VERTEX_ALPHABET = b"v0123456789.eE+- \t\n"
 _FACE_ALPHABET = b"f0123456789 \t\n"
+
+# A whole-line comment: `#` first on a line that ends at LF or at the end of
+# the file.  A CR ends a line for the line parser, so none may be inside.
+_COMMENT_LINE = re.compile(rb"^#[^\r\n]*(?:\n|\Z)", re.MULTILINE)
 
 
 def _record_values(section: bytes, key: bytes, alphabet: bytes, dtype) -> np.ndarray | None:
@@ -289,7 +294,13 @@ def _record_values(section: bytes, key: bytes, alphabet: bytes, dtype) -> np.nda
 def _plain_triangle_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """Vertices and 0-based faces of a file that is `v x y z` lines with
     finite coordinates followed by `f i j k` lines, or None when the file is
-    not provably such a file.  TriangleMesh checks the index range."""
+    not provably such a file.  CRLF line ends become LF first, and in an
+    ASCII file (the line parser refuses any other) whole-line comments are
+    dropped.  TriangleMesh checks the index range."""
+    if b"\r" in data:  # a memchr; replace scans 30 times slower
+        data = data.replace(b"\r\n", b"\n")
+    if b"#" in data and data.isascii():
+        data = _COMMENT_LINE.sub(b"", data)
     if data and not data.endswith(b"\n"):
         data += b"\n"
     split = data.find(b"f")  # the first face keyword, if the file is plain
@@ -311,10 +322,11 @@ def load_obj(path) -> TriangleMesh:
     fan-triangulated around the first vertex.  Comments (#) and blank lines
     are ignored; anything else is a parse error.
 
-    A file of `v` lines followed by triangle `f` lines, and nothing else, is
-    read in one vectorised pass.  Every other file, and every file that pass
-    refuses, goes through the line parser below, which gives the same arrays
-    and names the line of the first error.
+    A file of `v` lines followed by triangle `f` lines, with whole-line
+    comments and LF or CRLF line ends, and nothing else, is read in one
+    vectorised pass.  Every other file, and every file that pass refuses,
+    goes through the line parser below, which gives the same arrays and
+    names the line of the first error.
     """
     with open(path, "rb") as fh:
         data = fh.read()

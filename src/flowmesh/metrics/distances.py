@@ -26,18 +26,35 @@ def _points_of(cloud) -> np.ndarray:
     return pts
 
 
+# Points per bucket of both trees.  Bigger buckets than scipy's 16 mean
+# fewer nodes to walk and more of each search in one tight scan.  On
+# far-apart 50k-point clouds, 56..96 were the fastest of 16..256 (64: 0.43 ->
+# 0.26 s for both directions); at the fitter's 2.5k points all sizes tied.
+_LEAF_SIZE = 64
+
+
+def _tree(points) -> cKDTree:
+    return cKDTree(points, leafsize=_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
+
+
 def nearest_neighbor_indices(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of an exact nearest target for each query point.
 
     The tree splits at sliding midpoints and keeps its cells' full boxes
     (Maneewongvatana & Mount, 1999): on two surfaces' sample clouds it
     answers about three times faster than scipy's default tree, which
-    splits at medians and shrinks each box to its points.  Among targets at
-    the same distance, which one is returned is unspecified.
+    splits at medians and shrinks each box to its points.  Its buckets hold
+    up to ``_LEAF_SIZE`` points.  The queries are answered in the leaf order
+    of the same kind of tree built over them, so consecutive searches visit
+    nearby buckets, and their indices are scattered back; each search is
+    independent of the others, so the order changes no index.  Among
+    targets at the same distance, which one is returned is unspecified.
     """
-    tree = cKDTree(targets, balanced_tree=False, compact_nodes=False)
-    _, idx = tree.query(queries, k=1, workers=1)
-    return np.asarray(idx, dtype=np.int64)
+    queries = np.asarray(queries, dtype=np.float64)
+    order = _tree(queries).indices
+    idx = np.empty(len(order), dtype=np.int64)
+    _, idx[order] = _tree(targets).query(queries[order], k=1, workers=1)
+    return idx
 
 
 @dataclass(frozen=True)

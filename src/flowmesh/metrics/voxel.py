@@ -155,8 +155,20 @@ def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -
 
     # A center is inside iff an odd number of crossings lie beyond it (+x
     # ray): occupied[i] is the parity of flips[i + 1:].
-    np.logical_xor.accumulate(flips[::-1], axis=0, out=flips[::-1])
+    _suffix_parity(flips)
     return OccupancyGrid(geometry=geometry, supersample=s, occupied=flips[1:])
+
+
+def _suffix_parity(flips: np.ndarray) -> None:
+    """Set each plane flips[i], i >= 1, to the xor of flips[i:], in place.
+
+    One contiguous xor per plane from the top down; a reversed
+    ``np.logical_xor.accumulate`` along axis 0 gives the same bits but walks
+    the strided axis element by element, over 100 times slower on a
+    (257, 256, 256) grid.  flips[0] (crossings below every center) is never read.
+    """
+    for i in range(len(flips) - 2, 0, -1):
+        np.logical_xor(flips[i], flips[i + 1], out=flips[i])
 
 
 def _occupied_counts(a: OccupancyGrid, b: OccupancyGrid) -> tuple[int, int]:

@@ -502,6 +502,50 @@ def test_voxel_guard_leaves_invalid_grids_to_their_refusals(
         assert message in err
 
 
+def test_samples_guard_boundary(tmp_path, sphere_obj, monkeypatch, capsys):
+    import flowmesh.cli
+    from flowmesh.cli import _MAX_SAMPLES
+    from flowmesh.metrics import VoxelizationError
+
+    loaded, drawn = [], []
+
+    def load_stub(path):
+        loaded.append(path)
+        return icosphere(0)
+
+    def sample_stub(mesh, n, seed):
+        drawn.append(n)
+        raise VoxelizationError("sampling reached")
+
+    monkeypatch.setattr(flowmesh.cli, "load_obj", load_stub)
+    monkeypatch.setattr(flowmesh.cli, "sample_surface", sample_stub)
+    assert _MAX_SAMPLES == 2**22
+    out = tmp_path / "r.json"
+    for n, code in [(_MAX_SAMPLES, 3), (_MAX_SAMPLES + 1, 2), (10**30, 2)]:
+        argv = ["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                "--samples", str(n), "--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:  # refused before any mesh is read or sampled
+            assert err == f"error: {n} samples exceed {_MAX_SAMPLES} (2**22)\n"
+            assert loaded == [] and drawn == []
+        else:
+            assert err == "error: sampling reached\n"
+            assert drawn.pop() == n
+            loaded.clear()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_nonpositive_samples_are_input_errors(tmp_path, sphere_obj, samples, capsys):
+    out = tmp_path / "r.json"
+    code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                 "--samples", samples, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_benchmark_span_targets_resolve():
     """Every library attribute the benchmark's span tracer wraps exists."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

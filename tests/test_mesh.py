@@ -566,6 +566,13 @@ OBJ_CASES = {
     "cr inside a face line": TRIANGLE + b"f 1 2\r3\n",
     "crlf faces": TRIANGLE + b"f 1 2 3\r\n",
     "comment after the faces": TRIANGLE + b"f 1 2 3 # c\n",
+    "commented crlf": b"# a\r\n#\r\n" + TRIANGLE.replace(b"\n", b"\r\n")
+    + b"# b\r\nf 1 2 3\r\n#",
+    "comment ending in a lone cr": b"# a\rv 5 5 5\n" + TRIANGLE + b"f 1 2 3\n",
+    "comment line after a lone cr": b"v 0 0 0\r# a\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "padded comment line": b" # a\n" + TRIANGLE + b"f 1 2 3\n",
+    "non-ascii comment": b"# \xc3\xa9\n" + TRIANGLE + b"f 1 2 3\n",
+    "commented malformed face": b"# a\n" + TRIANGLE + b"# b\nf 1 2\n",
     "keyword at line end": b"v 0 0 0 v\n1 0 0\nv 0 1 0\nf 1 2 3\n",
     "keyword inside a line": b"v 0 0 0\nv 1 0 v 0\nv 0 1 0\nf 1 2 3\n",
     "face keyword inside a vertex line": b"v 0 0 0\nv 1 0 0 f 1 2 3\nv 0 1 0\n",
@@ -612,6 +619,32 @@ class TestLoadObjMatchesReference:
         for data in plain:
             vertices, faces = _plain_triangle_arrays(data)
             TriangleMesh(vertices, faces)
+
+    def test_commented_crlf_file_takes_the_vectorised_pass(self, tmp_path):
+        plain = tmp_path / "plain.obj"
+        store_obj(icosphere(4), plain)
+        lines = plain.read_bytes().splitlines(keepends=True)
+        at = lines.index(next(line for line in lines if line.startswith(b"f")))
+        commented = b"".join(
+            [b"# exported\n", *lines[:at], b"#\n# faces\n", *lines[at:], b"# end"]
+        ).replace(b"\n", b"\r\n")
+        path = tmp_path / "commented.obj"
+        path.write_bytes(commented)
+        fast = zip(_plain_triangle_arrays(commented), _plain_triangle_arrays(plain.read_bytes()))
+        for got, want in fast:
+            assert got.tobytes() == want.tobytes()
+        a, b = load_obj(path), load_obj(plain)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert a.faces.tobytes() == b.faces.tobytes()
+
+    def test_commented_malformed_file_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        crlf = TRIANGLE.replace(b"\n", b"\r\n")
+        path.write_bytes(b"# a\r\n#\r\n" + crlf + b"# b\r\nf 1 2 9\r\n")
+        with pytest.raises(MeshFormatError) as info:
+            load_obj(path)
+        assert info.value.line == 7
+        assert "face index 9 exceeds vertex count 3" in str(info.value)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -38,7 +38,7 @@ from flowmesh.metrics import (
     voxelize,
 )
 
-from flowmesh.metrics import intersection, voxel
+from flowmesh.metrics import distances, intersection, voxel
 
 from conftest import brute_force_nn_stats, make_gated_field
 
@@ -232,6 +232,62 @@ class TestCloudMetrics:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             chamfer(np.zeros((0, 3)), np.ones((5, 3)))
+
+
+def blockwise_argmin(queries, targets, block=256):
+    """All-pairs nearest target of each query, a block of queries at a time,
+    by the squared distance summed over x, y, z as the k-d tree sums it."""
+    out = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), block):
+        diff = queries[start:start + block, None, :] - targets[None, :, :]
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        out[start:start + block] = d2.argmin(axis=1)
+    return out
+
+
+class TestNearestNeighboursAtTreeScale:
+    """Clouds of many leaves, where the bucket size and the leaf-order
+    queries can make a difference."""
+
+    @pytest.fixture(scope="class")
+    def far_clouds(self):
+        sphere = icosphere(3)
+        ellipsoid = sphere.with_vertices(sphere.vertices * np.array([1.0, 0.8, 0.65]))
+        a = sample_surface(sphere, 3000, seed=0).points
+        b = sample_surface(ellipsoid, 3200, seed=1).points
+        assert min(len(a), len(b)) > 40 * distances._LEAF_SIZE
+        return a, b
+
+    def test_match_clouds_equals_blockwise_all_pairs(self, far_clouds):
+        a, b = far_clouds
+        match = match_clouds(a, b)
+        assert np.array_equal(match.idx_ab, blockwise_argmin(a, b))
+        assert np.array_equal(match.idx_ba, blockwise_argmin(b, a))
+
+    def test_query_order_does_not_change_the_indices(self, far_clouds):
+        a, b = far_clouds
+        for q, t in ((a, b), (b, a)):
+            p = np.random.default_rng(3).permutation(len(q))
+            assert np.array_equal(
+                nearest_neighbor_indices(q[p], t), nearest_neighbor_indices(q, t)[p]
+            )
+
+    def test_one_target(self, far_clouds):
+        a, b = far_clouds
+        assert np.array_equal(nearest_neighbor_indices(a, b[:1]), np.zeros(len(a), np.int64))
+        assert np.array_equal(nearest_neighbor_indices(a[:1], b), blockwise_argmin(a[:1], b))
+
+    def test_fewer_points_than_a_leaf(self, far_clouds):
+        a, b = far_clouds
+        n = distances._LEAF_SIZE - 1
+        for q, t in ((a[:n], b[:n - 5]), (a[:n], b), (a, b[:n])):
+            assert np.array_equal(nearest_neighbor_indices(q, t), blockwise_argmin(q, t))
+
+    def test_queries_identical_to_the_targets(self, far_clouds):
+        for cloud in far_clouds:
+            idx = nearest_neighbor_indices(cloud, cloud)
+            assert idx.dtype == np.int64
+            assert np.array_equal(idx, np.arange(len(cloud)))
 
 
 class TestEdgeLoss:
@@ -826,6 +882,45 @@ class TestVoxelizeMatchesReference:
             with pytest.raises(VoxelizationError) as excinfo:
                 version(axis_octahedron(), OCTAHEDRON_GRID, supersample)
             assert str(excinfo.value) == message
+
+
+class TestSuffixParity:
+    """The per-plane parity pass gives the bits of a reversed
+    np.logical_xor.accumulate along x on the same flags."""
+
+    @staticmethod
+    def accumulated(flags):
+        return np.logical_xor.accumulate(flags[::-1], axis=0)[::-1]
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1, 1), (9, 5, 7), (65, 16, 16)])
+    def test_random_flags(self, shape):
+        flags = np.random.default_rng(shape[0]).random(shape) < 0.3
+        flips = flags.copy()
+        voxel._suffix_parity(flips)
+        assert np.array_equal(flips[1:], self.accumulated(flags)[1:])
+
+    @pytest.mark.parametrize("case", ["octahedron", "octahedron in a sphere", "ellipsoid"])
+    @pytest.mark.parametrize("supersample", [1, 2, 4])
+    def test_flags_of_voxelize(self, case, supersample, monkeypatch):
+        mesh, geometry = {
+            # columns graze and go through the jitter retries
+            "octahedron": (axis_octahedron(), OCTAHEDRON_GRID),
+            "octahedron in a sphere": (
+                union(axis_octahedron(), scaled(icosphere(2), (2.5, 2.5, 2.5))),
+                OCTAHEDRON_GRID,
+            ),
+            "ellipsoid": (scaled(icosphere(4), (1.0, 0.8, 0.65)), REFERENCE_GRIDS[0]),
+        }[case]
+        real, flags = voxel._suffix_parity, []
+
+        def checked(flips):
+            flags.append(flips.copy())
+            real(flips)
+
+        monkeypatch.setattr(voxel, "_suffix_parity", checked)
+        occupied = voxelize(mesh, geometry, supersample).occupied
+        assert len(flags) == 1 and flags[0].any()
+        assert np.array_equal(occupied, self.accumulated(flags[0])[1:])
 
 
 def test_voxelize_memory_is_bounded():
