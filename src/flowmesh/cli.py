@@ -76,6 +76,14 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _refuse_samples(count: int) -> bool:
+    """Say why and return True when ``count`` samples exceed _MAX_SAMPLES."""
+    if count <= _MAX_SAMPLES:
+        return False
+    _say(f"error: {count} samples exceed {_MAX_SAMPLES} (2**22)")
+    return True
+
+
 def load_schema(name: str) -> dict:
     with resources.files("flowmesh.schemas").joinpath(name).open("r") as fh:
         return json.load(fh)
@@ -115,8 +123,7 @@ def cmd_metrics(args) -> int:
         raise ValueError("--voxel-dims and --voxel-spacing must be given together")
     if args.voxel_origin is not None and args.voxel_dims is None:
         raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
-    if args.samples > _MAX_SAMPLES:  # zero and negative counts are refused later, exit 1
-        _say(f"error: {args.samples} samples exceed {_MAX_SAMPLES} (2**22)")
+    if _refuse_samples(args.samples):  # zero and negative counts are refused later, exit 1
         return EXIT_PRECONDITION
     if args.voxel_dims is not None:
         s = max(args.voxel_supersample, 0)  # invalid values are refused later, exit 1
@@ -194,7 +201,11 @@ def _write_trace(path, traces) -> None:
 
 def cmd_fit(args) -> int:
     config = _validated_fit_config(args.config)
+    if _refuse_samples(config.sample_count):
+        return EXIT_PRECONDITION
     template = load_obj(args.template)
+    if _refuse_subdivision(template.face_count, config.stages[-1].template_subdivision_level):
+        return EXIT_PRECONDITION
     target = load_obj(args.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,15 +251,22 @@ def _subdivision_fits(face_count: int, levels: int) -> bool:
     return face_count <= _MAX_SUBDIVIDED_FACES >> (2 * levels)
 
 
+def _refuse_subdivision(face_count: int, levels: int) -> bool:
+    """Say why and return True when the subdivided mesh would not fit."""
+    if _subdivision_fits(face_count, levels):
+        return False
+    _say(
+        f"error: {face_count} faces subdivided {levels} times exceed "
+        f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})"
+    )
+    return True
+
+
 def cmd_subdivide(args) -> int:
     if args.levels < 0:
         raise ValueError(f"--levels must be non-negative, got {args.levels}")
     mesh = load_obj(args.mesh)
-    if not _subdivision_fits(mesh.face_count, args.levels):
-        _say(
-            f"error: {mesh.face_count} faces subdivided {args.levels} times exceed "
-            f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})"
-        )
+    if _refuse_subdivision(mesh.face_count, args.levels):
         return EXIT_PRECONDITION
     for _ in range(args.levels):
         mesh = midpoint_subdivide(mesh)

@@ -7,8 +7,9 @@ positives or negatives near coplanar or touching configurations.  The broad
 phase bins face bounding boxes into a uniform grid of cells no smaller than
 an ordinary face's box, and tests each cell against itself and its forward
 neighbours in fixed-size vectorised chunks; the few outsized faces are
-tested against every face.  A vectorised plane-side prefilter then rejects
-the bulk of candidate pairs before the exact narrow phase runs.
+tested against every face.  Each chunk of candidate pairs, in no particular
+order, drops the pairs of two flagged faces, then goes through a vectorised
+plane-side prefilter and the exact test; no pair list is ever kept.
 """
 
 from __future__ import annotations
@@ -189,9 +190,8 @@ def triangles_intersect(t1, t2) -> bool:
     return False
 
 
-# Candidate pairs expanded per vectorised step of the broad phase and rows
-# per step of the prefilter; bounds their temporaries whatever the number of
-# faces sharing a cell.
+# Candidate pairs expanded per vectorised step of the broad phase, each step
+# tested before the next: bounds the temporaries whatever the faces per cell.
 _PAIR_CHUNK = 1 << 13
 
 # Faces whose box extent exceeds this multiple of the median extent do not
@@ -238,11 +238,13 @@ def _disjoint_overlaps(lo, hi, faces_t, i, j):
     return i[keep], j[keep]
 
 
-def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray):
     """AABB-overlapping, vertex-disjoint face pairs via a uniform cell grid.
 
-    Rows are (i, j) with i before j in the stable order of the boxes' lower
-    x bounds, sorted by i's place in that order and then j's.
+    Bins the faces, then returns an iterator over chunks (i, j) as
+    `_disjoint_overlaps` returns them: at most _PAIR_CHUNK pairs of ordinary
+    faces, or one outsized face's row; each unordered pair once, in an
+    unspecified order and orientation.
 
     Each ordinary face is binned by its box's lower corner into cells whose
     edge is at least the largest ordinary box extent, so two overlapping
@@ -250,21 +252,10 @@ def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     relative slack that covers the rounding of the binning, and is at least
     2**-20 of the grid's span, which keeps cell keys within int64.
     """
-    n = len(faces)
     lo, hi = _face_boxes(vertices, faces)
     faces_t = np.ascontiguousarray(faces.T)
-    order = np.argsort(lo[0], kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
     extent = (hi - lo).max(axis=0)
     outsized = extent > _OUTSIZED_RATIO * np.median(extent)
-    found = [np.zeros(0, dtype=np.int64)]
-
-    def record(i, j):
-        # one int64 key per pair, earlier rank * n + later rank, so one sort
-        # yields the row order documented above
-        ri, rj = rank[i], rank[j]
-        found.append(np.minimum(ri, rj) * n + np.maximum(ri, rj))
 
     ids = np.flatnonzero(~outsized)
     box_lo = lo[:, ids]
@@ -281,64 +272,54 @@ def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     members = ids[by_key]
     cells, start, count = np.unique(key[by_key], return_index=True, return_counts=True)
     del key, by_key
-    for dx, dy, dz in _CELL_OFFSETS:
-        target = cells + (dx * radix[1] + dy) * radix[2] + dz
-        other = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-        hit = cells[other] == target
-        other = other[hit]
-        a_start, b_start, b_count = start[hit], start[other], count[other]
-        # block k holds the count[a] * count[b] pairs of one cell pair (a, b)
-        size = count[hit] * b_count
-        block_end = np.cumsum(size)
-        total = int(size.sum())
-        for s in range(0, total, _PAIR_CHUNK):
-            t = np.arange(s, min(s + _PAIR_CHUNK, total))
-            block = np.searchsorted(block_end, t, side="right")
-            pa, pb = np.divmod(t - (block_end[block] - size[block]), b_count[block])
-            if dx == dy == dz == 0:
-                later = pa < pb
-                block, pa, pb = block[later], pa[later], pb[later]
-            record(*_disjoint_overlaps(
-                lo, hi, faces_t, members[a_start[block] + pa], members[b_start[block] + pb]
-            ))
 
-    everyone = np.arange(n)
-    for i in np.flatnonzero(outsized):
-        record(*_disjoint_overlaps(
-            lo, hi, faces_t, i, np.flatnonzero(~outsized | (everyone > i))
-        ))
+    def chunks():
+        for dx, dy, dz in _CELL_OFFSETS:
+            target = cells + (dx * radix[1] + dy) * radix[2] + dz
+            other = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+            hit = cells[other] == target
+            other = other[hit]
+            a_start, b_start, b_count = start[hit], start[other], count[other]
+            # block k holds the count[a] * count[b] pairs of one cell pair (a, b)
+            size = count[hit] * b_count
+            block_end = np.cumsum(size)
+            total = int(size.sum())
+            for s in range(0, total, _PAIR_CHUNK):
+                t = np.arange(s, min(s + _PAIR_CHUNK, total))
+                block = np.searchsorted(block_end, t, side="right")
+                pa, pb = np.divmod(t - (block_end[block] - size[block]), b_count[block])
+                if dx == dy == dz == 0:
+                    later = pa < pb
+                    block, pa, pb = block[later], pa[later], pb[later]
+                yield _disjoint_overlaps(
+                    lo, hi, faces_t, members[a_start[block] + pa], members[b_start[block] + pb]
+                )
+        everyone = np.arange(len(faces))
+        for i in np.flatnonzero(outsized):
+            yield _disjoint_overlaps(lo, hi, faces_t, i, np.flatnonzero(~outsized | (everyone > i)))
 
-    keys = np.sort(np.concatenate(found))
-    found.clear()
-    first, second = np.divmod(keys, n)
-    return np.stack([order[first], order[second]], axis=1)
+    return chunks()
 
 
-def _plane_side_prefilter(corners: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Drop pairs certainly separated by one triangle's supporting plane.
+def _plane_side_prefilter(corners: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Drop the pairs (i, j) certainly separated by one triangle's supporting plane.
 
     Purely a float fast path: a pair is discarded only when all three
     vertices of one triangle are farther from the other's plane than a
-    conservative rounding bound, on the same side.  Rows are independent,
-    so they are processed in chunks to bound the temporaries.
+    conservative rounding bound, on the same side.  Returns the kept (i, j).
     """
-    keep = np.ones(len(pairs), dtype=bool)
-    for s in range(0, len(pairs), _PAIR_CHUNK):
-        chunk = pairs[s : s + _PAIR_CHUNK]
-        for first, second in ((0, 1), (1, 0)):
-            tri = corners[chunk[:, first]]
-            other = corners[chunk[:, second]]
-            n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            rel = other - tri[:, 0][:, None, :]
-            d = np.einsum("pc,pkc->pk", n, rel)
-            scale = np.abs(tri - tri[:, 0][:, None, :]).max(axis=(1, 2))
-            scale = np.maximum(scale, np.abs(rel).max(axis=(1, 2)))
-            bound = 1e-12 * scale**3
-            separated = np.all(d > bound[:, None], axis=1) | np.all(
-                d < -bound[:, None], axis=1
-            )
-            keep[s : s + _PAIR_CHUNK] &= ~separated
-    return pairs[keep]
+    keep = np.ones(len(i), dtype=bool)
+    ci, cj = corners[i], corners[j]
+    for tri, other in ((ci, cj), (cj, ci)):
+        e = tri[:, 1:] - tri[:, :1]
+        # np.cross's products without its overhead, which dominates on small chunks
+        n = e[:, 0, [1, 2, 0]] * e[:, 1, [2, 0, 1]] - e[:, 0, [2, 0, 1]] * e[:, 1, [1, 2, 0]]
+        rel = other - tri[:, :1]
+        d = np.einsum("pc,pkc->pk", n, rel)
+        scale = np.maximum(np.abs(e).max(axis=(1, 2)), np.abs(rel).max(axis=(1, 2)))
+        bound = 1e-12 * scale[:, None] ** 3
+        keep &= ~((d > bound).all(axis=1) | (d < -bound).all(axis=1))
+    return i[keep], j[keep]
 
 
 def self_intersecting_faces(mesh: TriangleMesh) -> tuple[int, float]:
@@ -353,14 +334,13 @@ def self_intersecting_faces(mesh: TriangleMesh) -> tuple[int, float]:
     f = mesh.face_count
     if f == 0:
         return 0, 0.0
-    pairs = _candidate_pairs(mesh.vertices, mesh.faces)
-    corners = mesh.triangle_corners()
-    pairs = _plane_side_prefilter(corners, pairs)
+    chunks = _candidate_pairs(mesh.vertices, mesh.faces)
+    corners = mesh.triangle_corners()  # after the binning, whose temporaries set the peak
     flagged = np.zeros(f, dtype=bool)
-    for i, j in pairs:
-        if flagged[i] and flagged[j]:
-            continue
-        if triangles_intersect(corners[i], corners[j]):
-            flagged[i] = flagged[j] = True
+    for i, j in chunks:
+        fresh = ~(flagged[i] & flagged[j])
+        for a, b in zip(*_plane_side_prefilter(corners, i[fresh], j[fresh])):
+            if not (flagged[a] and flagged[b]) and triangles_intersect(corners[a], corners[b]):
+                flagged[a] = flagged[b] = True
     count = int(flagged.sum())
     return count, 100.0 * count / f

@@ -536,6 +536,48 @@ def test_samples_guard_boundary(tmp_path, sphere_obj, monkeypatch, capsys):
         assert not out.exists()
 
 
+def test_fit_guards_exit_2_before_fitting(tmp_path, monkeypatch, capsys):
+    import flowmesh.cli
+    from flowmesh.cli import _MAX_SAMPLES
+    from flowmesh.metrics import VoxelizationError
+
+    fitted = []
+
+    def stub(config, template, target):
+        fitted.append((template.face_count, config.sample_count))
+        raise VoxelizationError("fit reached")  # no template is ever subdivided
+
+    monkeypatch.setattr(flowmesh.cli, "fit_pipeline", stub)
+    stage = {"grid_dims": [6, 6, 6], "steps": 4, "iterations": 1, "step_size": 0.3}
+    cases = [  # (template level, stage subdivision levels, sample_count, exit code)
+        (0, [8], 300, 3), (0, [9], 300, 2), (0, [0, 9], 300, 2), (0, [10**30], 300, 2),
+        (2, [6], 300, 3), (2, [2, 7], 300, 2),
+        (0, [0], _MAX_SAMPLES, 3), (0, [0], _MAX_SAMPLES + 1, 2), (0, [0], 10**30, 2),
+    ]
+    for n, (template_level, levels, samples, code) in enumerate(cases):
+        template, config = tmp_path / f"t{n}.obj", tmp_path / f"c{n}.json"
+        store_obj(icosphere(template_level), template)
+        config.write_text(json.dumps({
+            "stages": [dict(stage, template_subdivision_level=k) for k in levels],
+            "sample_count": samples,
+        }))
+        out_dir = tmp_path / f"run{n}"
+        assert main(["fit", "--template", str(template), "--target", str(template),
+                     "--config", str(config), "--out-dir", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        faces = icosphere(template_level).face_count
+        if code == 3:
+            assert err == "error: fit reached\n"
+            assert fitted.pop() == (faces, samples)
+        elif samples > _MAX_SAMPLES:
+            assert err == f"error: {samples} samples exceed {_MAX_SAMPLES} (2**22)\n"
+        else:
+            assert err == (f"error: {faces} faces subdivided {levels[-1]} times exceed "
+                           "1310720 faces (icosphere level 8)\n")
+        assert out_dir.exists() == (code == 3)
+    assert fitted == []
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_nonpositive_samples_are_input_errors(tmp_path, sphere_obj, samples, capsys):
     out = tmp_path / "r.json"

@@ -531,12 +531,35 @@ def degenerate_faces():
     return soup_mesh(np.concatenate([segments, np.repeat(points, 3, axis=1)]))
 
 
+def unordered_rows(pairs):
+    """The (n, 2) pairs as sorted rows of (smaller, larger) face index."""
+    rows = np.sort(pairs, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def assert_matches_sweep(mesh):
+    """The streamed chunks hold each pair of the sweep exactly once, in any
+    order and either orientation."""
     expected = sweep_pairs_reference(mesh.triangle_corners(), mesh.faces)
-    pairs = intersection._candidate_pairs(mesh.vertices, mesh.faces)
+    chunks = [np.stack(c, axis=1) for c in intersection._candidate_pairs(mesh.vertices, mesh.faces)]
+    pairs = np.concatenate([np.zeros((0, 2), dtype=np.int64), *chunks])
     assert pairs.dtype == expected.dtype
-    assert np.array_equal(pairs, expected)
+    assert np.array_equal(unordered_rows(pairs), unordered_rows(expected))
     return expected
+
+
+def brute_force_census(mesh):
+    """(count, percent) from ``triangles_intersect`` on every vertex-disjoint pair."""
+    corners = mesh.triangle_corners()
+    flagged = np.zeros(mesh.face_count, dtype=bool)
+    for i in range(mesh.face_count):
+        for j in range(i + 1, mesh.face_count):
+            if set(mesh.faces[i]) & set(mesh.faces[j]):
+                continue
+            if triangles_intersect(corners[i], corners[j]):
+                flagged[i] = flagged[j] = True
+    count = int(flagged.sum())
+    return count, 100.0 * count / mesh.face_count
 
 
 _COORDS = st.one_of(
@@ -594,13 +617,51 @@ class TestBroadPhase:
             return overlaps(lo, hi, faces_t, i, j)
 
         monkeypatch.setattr(intersection, "_disjoint_overlaps", counting)
-        intersection._candidate_pairs(mesh.vertices, mesh.faces)
-        assert sum(examined) <= 64 * mesh.face_count
+        for _ in intersection._candidate_pairs(mesh.vertices, mesh.faces):
+            pass
+        assert examined and sum(examined) <= 64 * mesh.face_count
+
+    @pytest.mark.parametrize(
+        "make", [lambda: coincident_copies(2000), lambda: with_spanning_face(icosphere(4))],
+        ids=["coincident", "spanning_face"],
+    )
+    def test_ordinary_chunks_are_bounded(self, make):
+        mesh = make()
+        spanning = mesh.face_count - 1  # the outsized face of with_spanning_face
+        sizes = [
+            len(i)
+            for i, j in intersection._candidate_pairs(mesh.vertices, mesh.faces)
+            if not (i == spanning).all()
+        ]
+        assert 0 < max(sizes) <= intersection._PAIR_CHUNK
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_chunks_match_sweep(self, monkeypatch, chunk):
+        monkeypatch.setattr(intersection, "_PAIR_CHUNK", chunk)
+        mesh = with_spanning_face(icosphere(2))
+        assert len(assert_matches_sweep(mesh)) > 0
+        for i, j in intersection._candidate_pairs(mesh.vertices, mesh.faces):
+            assert len(i) <= chunk or (i == mesh.face_count - 1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pooled_meshes())
+    def test_census_matches_brute_force_on_pooled_meshes(self, mesh):
+        assert self_intersecting_faces(mesh) == brute_force_census(mesh)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3), st.just(3)), elements=_COORDS))
+    def test_census_matches_brute_force_on_random_soups(self, corners):
+        mesh = soup_mesh(corners)
+        assert self_intersecting_faces(mesh) == brute_force_census(mesh)
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: coincident_copies(400), lambda: with_spanning_face(icosphere(4))],
-        ids=["coincident", "spanning_face"],
+        [
+            lambda: coincident_copies(400),
+            lambda: coincident_copies(1000),
+            lambda: with_spanning_face(icosphere(4)),
+        ],
+        ids=["coincident", "coincident_1000", "spanning_face"],
     )
     def test_census_memory_is_bounded(self, make):
         mesh = make()
@@ -613,8 +674,9 @@ class TestBroadPhase:
         assert peak <= 6 * 2**20
 
     def test_pushed_cap_census_is_pinned(self, monkeypatch):
-        # Count and narrow-phase call count recorded from the sweep-and-prune
-        # broad phase; the pair order fixes which calls the flagged short-cut skips.
+        # Count recorded from the sweep-and-prune broad phase (941 narrow-phase
+        # calls there); the call count is that of the streamed pair order,
+        # which fixes which calls the flagged short-cut skips.
         sphere = icosphere(4)
         vertices = sphere.vertices.copy()
         vertices[vertices[:, 2] > 0.7, 2] -= 1.6
@@ -627,7 +689,7 @@ class TestBroadPhase:
 
         monkeypatch.setattr(intersection, "triangles_intersect", counting)
         assert self_intersecting_faces(TriangleMesh(vertices, sphere.faces)) == (480, 9.375)
-        assert len(calls) == 941
+        assert len(calls) == 567
 
 
 class TestVoxelize:
