@@ -178,9 +178,9 @@ def invert_step(
 ) -> np.ndarray:
     """Solve y = x + h*v(x) by the contraction x <- y - h*v(x), started at y.
 
-    Requires h * lipschitz_safe < 1 and finite points.  Each point iterates
-    until its own residual ||y - x - h*v(x)|| is within tol and is then
-    frozen, so results do not depend on how points are batched.
+    Requires h * lipschitz_safe < 1 and finite points.  Each point iterates until
+    its residual ||y - x - h*v(x)|| is within max(tol, 4 eps ||y||_inf) and is
+    then frozen, so results do not depend on how points are batched.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
@@ -191,11 +191,12 @@ def invert_step(
     x = ys.copy()
     result = np.empty_like(ys)
     active = np.arange(len(ys))
+    stop = np.maximum(tol, 4 * np.finfo(np.float64).eps * np.abs(ys).max(axis=1))
     geometry, data64 = field.geometry, field.data64
     for _ in range(max_iter):
         v = sample_grid(geometry, data64, x)
         residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
-        done = residual <= tol
+        done = residual <= stop[active]
         if done.any():
             result[active[done]] = x[done]
             keep = ~done

@@ -39,7 +39,7 @@ from .flow_field import (
     stability_from_grid,
 )
 from .mesh import TriangleMesh, midpoint_subdivide, unique_edges
-from .metrics.distances import CloudMatch, match_clouds, mean_squared_edge_length
+from .metrics.distances import CloudMatch, PointTree, match_clouds, mean_squared_edge_length
 from .metrics.sampling import _draw_from_areas, draw_surface_samples, points_from_draw
 from .metrics.sampling import sample_surface, triangle_areas
 
@@ -182,6 +182,11 @@ class StageProblem:
     sample_count: int
     sample_seed: int
     gate: GatePolicy = "strict"
+    integration: tuple | None = None  # (params, step stencils, deformed vertices) to reuse
+    target_tree: PointTree = dataclass_field(init=False, repr=False)  # of target_points
+
+    def __post_init__(self):
+        self.target_tree = PointTree(self.target_points)
 
 
 @dataclass
@@ -217,22 +222,22 @@ def forward_loss(
     for :func:`backward`.
     """
     geometry = problem.geometry
-    params = np.asarray(params, dtype=np.float64)
+    params = np.array(params, dtype=np.float64)
     if params.shape != geometry.dims + (3,):
         raise ValueError(f"params shape {params.shape} does not match grid")
-    params = params.copy()
     params[_boundary_mask(geometry.dims)] = 0.0
 
     h = 1.0 / problem.steps
     margin = check_gate(h, stability_from_grid(geometry, params), problem.gate)
-
-    x = np.array(problem.start_vertices, dtype=np.float64)
-    step_stencils = []
-    for _ in range(problem.steps):
-        stencil = TrilinearStencil(geometry, x)
-        step_stencils.append(stencil)
-        x = x + h * stencil.sample(params)
-    deformed = x
+    if problem.integration is not None and np.array_equal(problem.integration[0], params):
+        _, step_stencils, deformed = problem.integration
+    else:
+        deformed = np.array(problem.start_vertices, dtype=np.float64)
+        step_stencils = []
+        for _ in range(problem.steps):
+            stencil = TrilinearStencil(geometry, deformed)
+            step_stencils.append(stencil)
+            deformed = deformed + h * stencil.sample(params)
 
     mesh = TriangleMesh(deformed, problem.faces)
     if draw is None:
@@ -241,7 +246,7 @@ def forward_loss(
         face_idx, bary = draw
     pred = points_from_draw(deformed, problem.faces, face_idx, bary)
 
-    match = match_clouds(pred, problem.target_points)
+    match = match_clouds(pred, problem.target_tree)
     chamfer_sq = match.chamfer(squared=True)
     edge_term = mean_squared_edge_length(deformed, problem.edges)
     total = problem.chamfer_weight * chamfer_sq + problem.edge_weight * edge_term
@@ -360,6 +365,7 @@ def fit_stage(
     best_total = math.inf
     best_params = params.copy()
     trace: list[LossReport] = []
+    integration = None  # of the last accepted candidate
 
     for iteration in range(scfg.iterations):
         pred_seed = derive_seed(config.seed, stage_index, iteration, 0)
@@ -377,6 +383,7 @@ def fit_stage(
             sample_count=config.sample_count,
             sample_seed=pred_seed,
             gate=config.gate,
+            integration=integration,
         )
         terms, inter = forward_loss(params, problem)
         if not math.isfinite(terms.total):
@@ -384,6 +391,7 @@ def fit_stage(
         grad = backward(inter)
         draw = (inter.face_idx, inter.bary)
         del inter  # the stencils are not needed past the reverse pass
+        problem.integration = integration = None
         grad_norm = float(np.sqrt((grad * grad).sum()))
         trace.append(LossReport(iteration=iteration, grad_norm=grad_norm, **asdict(terms)))
         if terms.total < best_total:
@@ -394,16 +402,18 @@ def fit_stage(
         candidate = params + velocity
         candidate[_boundary_mask(geometry.dims)] = 0.0
         try:
-            cand_terms = forward_loss(candidate, problem, draw=draw)[0]
+            cand_terms, cand = forward_loss(candidate, problem, draw=draw)
         except GateViolationError:  # strict gate; a NaN margin raises too
             accepted = False
         else:
             accepted = cand_terms.total <= terms.total  # rejects NaN as well
-        if accepted:
+        if accepted:  # the next forward pass reuses the candidate's integration
             params = candidate
+            integration = (candidate, cand.step_stencils, cand.deformed_vertices)
         else:
             step_size *= 0.5
             velocity[:] = 0.0
+        cand = None  # a rejected candidate's stencils are not kept
 
     field = FlowField(geometry, best_params.astype(np.float32))
     stage = DeformationStage(field, scfg.steps)

@@ -180,10 +180,11 @@ _DU = np.array([-1.0, 1.0])  # d/dt of the axis factors (1 - t, t)
 
 def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     """Unbuffered ``out[index] += values`` on a float64 (N,) or (N, C) array,
-    index entries in [0, N), bitwise equal to ``np.add.at``: per column,
-    ``np.bincount`` sums in input order after each row's current value.  Its
-    sums start from ``+0.0``, so a ``-0.0`` in ``out`` that receives nothing
-    (or only ``-0.0``) comes back ``+0.0``; ``np.zeros`` never holds ``-0.0``."""
+    index entries in [0, N), bitwise equal to ``np.add.at``: one ``np.bincount``
+    per column (a single call over ``index * C + c`` keys measured 1.2-4.6x
+    slower) sums in input order after each row's current value.  Its sums start
+    from ``+0.0``, so a ``-0.0`` in ``out`` that receives nothing (or only
+    ``-0.0``) comes back ``+0.0``; ``np.zeros`` never holds ``-0.0``."""
     n = out.shape[0]
     keys = np.concatenate([np.arange(n), np.ravel(index)])
     columns = out if out.ndim == 2 else out[:, None]

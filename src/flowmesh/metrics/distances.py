@@ -33,12 +33,18 @@ def _points_of(cloud) -> np.ndarray:
 _LEAF_SIZE = 64
 
 
-def _tree(points) -> cKDTree:
-    return cKDTree(points, leafsize=_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
+class PointTree(cKDTree):
+    """A cloud's k-d tree, built as every query here builds it; len() is its size."""
+
+    def __init__(self, points):
+        super().__init__(points, leafsize=_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
+
+    def __len__(self) -> int:
+        return self.n
 
 
-def nearest_neighbor_indices(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of an exact nearest target for each query point.
+def nearest_neighbor_indices(queries, targets) -> np.ndarray:
+    """Index of an exact nearest target for each query; either may be a PointTree.
 
     The tree splits at sliding midpoints and keeps its cells' full boxes
     (Maneewongvatana & Mount, 1999): on two surfaces' sample clouds it
@@ -50,10 +56,10 @@ def nearest_neighbor_indices(queries: np.ndarray, targets: np.ndarray) -> np.nda
     independent of the others, so the order changes no index.  Among
     targets at the same distance, which one is returned is unspecified.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    order = _tree(queries).indices
+    queries, targets = (c if isinstance(c, PointTree) else PointTree(c) for c in (queries, targets))
+    order = queries.indices
     idx = np.empty(len(order), dtype=np.int64)
-    _, idx[order] = _tree(targets).query(queries[order], k=1, workers=1)
+    _, idx[order] = targets.query(queries.data[order], k=1, workers=1)
     return idx
 
 
@@ -87,10 +93,11 @@ class CloudMatch:
 
 
 def match_clouds(a, b) -> CloudMatch:
-    """Match each point of a to its nearest point of b and vice versa."""
-    pa, pb = _points_of(a), _points_of(b)
-    idx_ab = nearest_neighbor_indices(pa, pb)
-    idx_ba = nearest_neighbor_indices(pb, pa)
+    """Match each point of a to its nearest point of b and vice versa, one tree per cloud."""
+    ta, tb = (c if isinstance(c, PointTree) else PointTree(_points_of(c)) for c in (a, b))
+    idx_ab = nearest_neighbor_indices(ta, tb)
+    idx_ba = nearest_neighbor_indices(tb, ta)
+    pa, pb = ta.data, tb.data
     d_ab = np.linalg.norm(pa - pb[idx_ab], axis=1)
     d_ba = np.linalg.norm(pb - pa[idx_ba], axis=1)
     return CloudMatch(d_ab, idx_ab, d_ba, idx_ba)

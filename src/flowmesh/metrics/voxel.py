@@ -11,7 +11,7 @@ boundary, column) flag; a running xor along x turns the flags into occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,9 +39,10 @@ class OccupancyGrid:
     geometry: GridGeometry
     supersample: int
     occupied: np.ndarray
+    _owned: InitVar[bool] = False  # voxelize's own buffer is kept, any other copied
 
-    def __post_init__(self):
-        occ = np.array(self.occupied, dtype=bool, order="C")  # copy, never alias
+    def __post_init__(self, _owned):
+        occ = np.array(self.occupied, dtype=bool, order="C", copy=None if _owned else True)
         if occ.shape != self.cell_counts:
             raise ValueError(
                 f"occupancy shape {occ.shape} does not match cells {self.cell_counts}"
@@ -156,7 +157,7 @@ def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -
     # A center is inside iff an odd number of crossings lie beyond it (+x
     # ray): occupied[i] is the parity of flips[i + 1:].
     _suffix_parity(flips)
-    return OccupancyGrid(geometry=geometry, supersample=s, occupied=flips[1:])
+    return OccupancyGrid(geometry=geometry, supersample=s, occupied=flips[1:], _owned=True)
 
 
 def _suffix_parity(flips: np.ndarray) -> None:

@@ -171,6 +171,48 @@ class TestInvertStep:
         assert err.value.residual > 0
 
 
+def reference_invert_step(field, y, h, tol=1e-12, max_iter=100):
+    """The inverse step with an absolute stopping rule, residual <= tol."""
+    ys = np.asarray(y, dtype=np.float64)
+    x, result, active = ys.copy(), np.empty_like(ys), np.arange(len(ys))
+    for _ in range(max_iter):
+        v = field.sample(x)
+        done = np.linalg.norm(ys[active] - x - h * v, axis=1) <= tol
+        result[active[done]] = x[done]
+        active, x, v = active[~done], x[~done], v[~done]
+        if len(active) == 0:
+            return result
+        x = ys[active] - h * v
+    raise InversionError(float("nan"), max_iter)
+
+
+class TestInverseFarFromOrigin:
+    """A gated field shifted away from the origin, where an absolute 1e-12 is
+    below the float64 spacing of the coordinates."""
+
+    def shifted(self, offset):
+        field = make_gated_field((16,) * 3, (offset - 1,) * 3, (offset + 1,) * 3, seed=3, steps=8)
+        x = offset + np.random.default_rng(4).uniform(-1, 1, size=(500, 3))
+        return DeformationStage(field, 8), x
+
+    @pytest.mark.parametrize("offset", [1e4, 1e5, 1e6])
+    def test_round_trip(self, offset):
+        stage, x = self.shifted(offset)
+        back = integrate_inverse(stage, integrate(stage, x))
+        # criterion 3's 1e-9, scaled by the size of the coordinates
+        assert np.abs(back - x).max() <= 1e-9 * offset
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e3])
+    def test_absolute_rule_unchanged_near_origin(self, offset):
+        # max(tol, 4 eps |y|) is tol while |y| <= tol / (4 eps), about 1126
+        stage, x = self.shifted(offset)
+        y = integrate(stage, x)
+        for _ in range(stage.steps):
+            expected = reference_invert_step(stage.field, y, stage.h)
+            y = invert_step(stage.field, y, stage.h)
+            assert y.tobytes() == expected.tobytes()
+
+
 class TestIntegrateInverse:
     def test_zero_field_identity(self):
         stage = DeformationStage(zero_field(), 4)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,16 +20,19 @@ from flowmesh import (
     fit_stage,
     forward_loss,
     icosphere,
+    store_obj,
 )
+from flowmesh import fit as fit_module
+from flowmesh.cli import main
 from flowmesh.fit import (
     StageProblem,
     derive_seed,
     stage_grid_geometry,
     unit_ball_transform,
 )
-from flowmesh.flow_field import _boundary_mask, _stencil_weights
+from flowmesh.flow_field import TrilinearStencil, _boundary_mask, _stencil_weights
 from flowmesh.mesh import unique_edges
-from flowmesh.metrics import chamfer, edge_loss, sample_surface
+from flowmesh.metrics import chamfer, distances, edge_loss, match_clouds, sample_surface
 
 
 def small_problem(seed=0, steps=2, samples=64, w_edge=1.0, grid=(5, 5, 5)):
@@ -502,3 +509,141 @@ def test_derive_seed_varies_by_role_and_iteration():
         derive_seed(0, s, i, r) for s in range(2) for i in range(3) for r in range(2)
     }
     assert len(seeds) == 12
+
+
+def ellipsoid(level):
+    base = icosphere(level)
+    return base.with_vertices(base.vertices * np.array([1.0, 0.8, 0.65]))
+
+
+def stage(dims, steps, iterations, step_size, level):
+    return {"grid_dims": [dims] * 3, "steps": steps, "iterations": iterations,
+            "step_size": step_size, "template_subdivision_level": level}
+
+
+class TestPinnedOutputs:
+    """SHA-256 of every output a ``flowmesh fit`` run writes, but the manifest.
+
+    Pinned with numpy 2.4.6 and scipy 1.17.1.  The fitter's forward and
+    reverse passes, the integration it reuses and its k-d trees must keep
+    these bits; another numpy or scipy build may round differently.
+    """
+
+    PINS = {
+        # the fit_ellipsoid benchmark workload at seed 0: every proposal accepted
+        "fit_ellipsoid": (3, 4, {
+            "stages": [stage(8, 8, 60, 0.3, 0), stage(12, 8, 40, 0.3, 1)],
+            "loss_weights": {"chamfer": 1.0, "edge": 1.0},
+            "sample_count": 2500,
+            "seed": 0,
+        }, {
+            "trace.jsonl": "fe28b720575ee7f6375e840d9ea6a26ce2a998dc570baa09aa7b259b572608af",
+            "stage_000.dff1": "5f94b25cca0bb4a44f423609f9d106d899f212a4a250b25cdf1cf63123408d6c",
+            "stage_001.dff1": "e3fcb6d5b8b7e2cd02afdb80e2920709677da2f1c4eef545a5cddae05354c44e",
+            "fitted.obj": "ded2c414d3e0fb150a1728506ca9d4a508390cbe89706a67e4f7db49e6910cbb",
+        }),
+        # a step size so large that 9 of the 20 proposals are rejected, 4 by
+        # the strict gate and 5 by their loss; so integrations after a
+        # rejection are not reused, and those after an acceptance are
+        "rejections": (2, 3, {
+            "stages": [stage(6, 4, 12, 300, 0), stage(8, 4, 8, 300, 1)],
+            "sample_count": 400,
+            "seed": 0,
+        }, {
+            "trace.jsonl": "f95f0ca887b25e824ec02702e88800d1e93c61c80071cc9fe946f29f8c32485f",
+            "stage_000.dff1": "f378f973d2b9cf45fd01e535b204a959403f90576b4870d19be3c6bd9480a743",
+            "stage_001.dff1": "6241a7b205ae70fbd7ecdbbb16519351d71c1fc3f7d57e68f1b8da0b871f700c",
+            "fitted.obj": "92e71950bd62fbb2e27241f5cdfa421defe600c3550601c57a3e897b7b90dd6a",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_outputs_keep_their_bits(self, tmp_path, name):
+        template_level, target_level, config, pins = self.PINS[name]
+        store_obj(icosphere(template_level), tmp_path / "template.obj")
+        store_obj(ellipsoid(target_level), tmp_path / "target.obj")
+        (tmp_path / "fit.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main(["fit", "--template", str(tmp_path / "template.obj"),
+                     "--target", str(tmp_path / "target.obj"),
+                     "--config", str(tmp_path / "fit.json"), "--out-dir", str(out)])
+        assert code == 0
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pins}
+        assert digests == pins
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count its calls; returns the growing list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestFitWork:
+    """What one stage builds: every accepted proposal is integrated once, and
+    each cloud gets one k-d tree per iteration."""
+
+    def config(self, iterations):
+        # every proposal of this stage is accepted (checked below)
+        stages = (StageConfig((6, 6, 6), 4, iterations, 0.3, 0),)
+        return FitConfig(stages=stages, sample_count=400)
+
+    def test_each_accepted_proposal_is_integrated_once(self, monkeypatch):
+        totals = []
+        forward = fit_module.forward_loss
+
+        def recorded(params, problem, draw=None):
+            terms, inter = forward(params, problem, draw)
+            totals.append(terms.total)
+            return terms, inter
+
+        monkeypatch.setattr(fit_module, "forward_loss", recorded)
+        stencils = count_calls(monkeypatch, TrilinearStencil, "__init__")
+        steps, iterations = 4, 10
+        fit_stage(self.config(iterations), 0, DeformationChain(), icosphere(2), ellipsoid(3))
+        assert all(cand <= cur for cur, cand in zip(totals[::2], totals[1::2]))
+        assert len(totals) == 2 * iterations
+        assert len(stencils) == steps * (iterations + 1)
+
+    def test_match_clouds_builds_one_tree_per_cloud(self, monkeypatch):
+        trees = count_calls(monkeypatch, distances.PointTree, "__init__")
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
+        match = match_clouds(a, b)
+        assert len(trees) == 2
+        assert np.array_equal(match.idx_ab, distances.nearest_neighbor_indices(a, b))
+        assert np.array_equal(match.idx_ba, distances.nearest_neighbor_indices(b, a))
+
+    def test_one_iteration_builds_three_trees(self, monkeypatch):
+        # the target cloud's tree serves the forward and the candidate pass;
+        # each pass builds one tree over its predicted cloud
+        trees = count_calls(monkeypatch, distances.PointTree, "__init__")
+        fit_stage(self.config(1), 0, DeformationChain(), icosphere(2), ellipsoid(3))
+        assert len(trees) == 3
+
+    def test_memory_does_not_grow_with_iterations(self):
+        # A reused integration that kept a reference to an earlier problem
+        # would chain every iteration's stencils together.
+        template, target = icosphere(3), ellipsoid(4)
+        peaks = []
+        for iterations in (4, 4, 40):  # the first run warms up
+            stages = (StageConfig((8, 8, 8), 8, iterations, 0.3, 0),)
+            config = FitConfig(stages=stages, sample_count=500)
+            tracemalloc.start()
+            try:
+                fit_stage(config, 0, DeformationChain(), template, target)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one integration's stencils: 8 steps over every template vertex
+        geometry = stage_grid_geometry(template, target, (8, 8, 8), 1.5)
+        one = TrilinearStencil(geometry, template.vertices)
+        slots = (one.inside, one.flat, one.local, one.weights)
+        integration = 8 * sum(a.nbytes for a in slots)
+        assert peaks[2] - peaks[1] < integration

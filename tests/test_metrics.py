@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -986,9 +987,9 @@ class TestSuffixParity:
 
 
 def test_voxelize_memory_is_bounded():
-    # 128**3 cells: the flags and the returned copy take 4.2 MB.  Measured
-    # peak 5.6 MiB (the per-column voxelizer peaked at 6.4 MiB); unchunked
-    # rows or an int64 per-cell parity array exceed 15 MiB.
+    # 128**3 cells: the flags take 2.1 MB.  Measured peak 5.6 MiB while the
+    # grid still copied them (the per-column voxelizer peaked at 6.4 MiB);
+    # unchunked rows or an int64 per-cell parity array exceed 15 MiB.
     mesh = icosphere(4)
     geometry = GridGeometry((33, 33, 33), (-1.2, -1.2, -1.2), (0.075, 0.075, 0.075))
     tracemalloc.start()
@@ -998,6 +999,34 @@ def test_voxelize_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+def test_voxelize_keeps_its_buffer_at_256_cubed():
+    # 256**3 cells: the (257, 256, 256) flags are 16.1 MiB, and the grid keeps
+    # them instead of copying them (measured 19.8 MiB here; with the copy
+    # 32.7 MiB).  The digest is the grid's before the copy was dropped.
+    mesh = icosphere(4)
+    geometry = GridGeometry((65, 65, 65), (-1.2, -1.2, -1.2), (0.0375, 0.0375, 0.0375))
+    tracemalloc.start()
+    try:
+        grid = voxelize(mesh, geometry, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    digest = hashlib.sha256(grid.occupied.tobytes()).hexdigest()
+    assert digest == "75b38ecaee573d16f3ee65395987296ef5454c02ce89dda2bf7e767a715ce4fc"
+    assert not grid.occupied.flags.writeable
+
+
+def test_occupancy_grid_copies_the_callers_array():
+    geometry = GridGeometry((3, 3, 3), (0, 0, 0), (1, 1, 1))
+    occ = np.zeros((4, 4, 4), dtype=bool)
+    grid = OccupancyGrid(geometry, 2, occ)
+    assert not np.shares_memory(grid.occupied, occ)
+    occ[1, 2, 3] = True
+    assert not grid.occupied.any()
+    assert not grid.occupied.flags.writeable and occ.flags.writeable
 
 
 class TestOverlapScores:
