@@ -29,6 +29,8 @@ from .mesh import TriangleMesh
 GatePolicy = Literal["strict", "warn", "off"]
 
 _GATE_POLICIES = ("strict", "warn", "off")
+_TOL = 1e-12  # invert_step's residual tolerance while ||y||_inf <= _TOL / (4 eps), ~1,126
+_MAX_ITER = 100  # invert_step's iteration budget per call
 
 
 class GateViolationError(RuntimeError):
@@ -169,21 +171,15 @@ def integrate(stage: DeformationStage, points, gate: GatePolicy = "strict") -> n
 
 
 def invert_step(
-    field: FlowField,
-    y,
-    h: float,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    stability: StabilityEstimate | None = None,
+    field: FlowField, y, h: float, stability: StabilityEstimate | None = None
 ) -> np.ndarray:
     """Solve y = x + h*v(x) by the contraction x <- y - h*v(x), started at y.
 
     Requires h * lipschitz_safe < 1 and finite points.  Each point iterates until
-    its residual ||y - x - h*v(x)|| is within max(tol, 4 eps ||y||_inf) and is
-    then frozen, so results do not depend on how points are batched.
+    its residual ||y - x - h*v(x)|| is within max(_TOL, 4 eps ||y||_inf) and is
+    then frozen, so results do not depend on how points are batched; after
+    _MAX_ITER iterations InversionError is raised.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
     if stability is None:
         stability = stability_estimate(field)
     check_gate(h, stability)
@@ -191,9 +187,9 @@ def invert_step(
     x = ys.copy()
     result = np.empty_like(ys)
     active = np.arange(len(ys))
-    stop = np.maximum(tol, 4 * np.finfo(np.float64).eps * np.abs(ys).max(axis=1))
+    stop = np.maximum(_TOL, 4 * np.finfo(np.float64).eps * np.abs(ys).max(axis=1))
     geometry, data64 = field.geometry, field.data64
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         v = sample_grid(geometry, data64, x)
         residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
         done = residual <= stop[active]
@@ -209,7 +205,7 @@ def invert_step(
     else:
         v = sample_grid(geometry, data64, x)
         residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
-        raise InversionError(float(residual.max()), max_iter)
+        raise InversionError(float(residual.max()), _MAX_ITER)
     return result[0] if single else result
 
 

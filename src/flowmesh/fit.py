@@ -32,6 +32,7 @@ from .deform import (
 from .flow_field import (
     FlowField,
     GridGeometry,
+    StabilityEstimate,
     TrilinearStencil,
     _boundary_mask,
     sample_grid,  # unused here; perfbench/spans.py wraps it and sample_surface
@@ -113,48 +114,21 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FitConfig":
+        """Config from its JSON form; every default is the dataclasses' own."""
+        fields = dict(raw)
         try:
-            stages = tuple(
-                StageConfig(
-                    grid_dims=tuple(s["grid_dims"]),
-                    steps=s["steps"],
-                    iterations=s["iterations"],
-                    step_size=s["step_size"],
-                    template_subdivision_level=s.get("template_subdivision_level", 0),
-                )
-                for s in raw["stages"]
-            )
-            weights = raw.get("loss_weights", {})
-            return cls(
-                stages=stages,
-                chamfer_weight=weights.get("chamfer", 1.0),
-                edge_weight=weights.get("edge", 1.0),
-                sample_count=raw.get("sample_count", 2000),
-                seed=raw.get("seed", 0),
-                domain_radius=raw.get("domain_radius", 1.5),
-                gate=raw.get("gate", "strict"),
-            )
+            weights = fields.pop("loss_weights", {})
+            stages = tuple(StageConfig(**s) for s in fields.pop("stages"))
+            return cls(stages, **fields, **{f"{k}_weight": v for k, v in weights.items()})
         except KeyError as exc:
             raise ValueError(f"fit config is missing field {exc.args[0]!r}") from exc
+        except TypeError as exc:  # names an unknown or missing keyword
+            raise ValueError(f"invalid fit config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "grid_dims": list(s.grid_dims),
-                    "steps": s.steps,
-                    "iterations": s.iterations,
-                    "step_size": s.step_size,
-                    "template_subdivision_level": s.template_subdivision_level,
-                }
-                for s in self.stages
-            ],
-            "loss_weights": {"chamfer": self.chamfer_weight, "edge": self.edge_weight},
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "domain_radius": self.domain_radius,
-            "gate": self.gate,
-        }
+        raw = asdict(self)
+        raw["loss_weights"] = {k: raw.pop(f"{k}_weight") for k in ("chamfer", "edge")}
+        return raw
 
 
 @dataclass(frozen=True)
@@ -182,7 +156,7 @@ class StageProblem:
     sample_count: int
     sample_seed: int
     gate: GatePolicy = "strict"
-    integration: tuple | None = None  # (params, step stencils, deformed vertices) to reuse
+    integration: tuple | None = None  # (params, stability, step stencils, deformed) to reuse
     target_tree: PointTree = dataclass_field(init=False, repr=False)  # of target_points
 
     def __post_init__(self):
@@ -203,6 +177,7 @@ class Intermediates:
 
     problem: StageProblem
     params: np.ndarray
+    stability: StabilityEstimate  # of params
     step_stencils: list[TrilinearStencil]  # of the vertices before each Euler step
     deformed_vertices: np.ndarray
     face_idx: np.ndarray
@@ -228,9 +203,11 @@ def forward_loss(
     params[_boundary_mask(geometry.dims)] = 0.0
 
     h = 1.0 / problem.steps
-    margin = check_gate(h, stability_from_grid(geometry, params), problem.gate)
-    if problem.integration is not None and np.array_equal(problem.integration[0], params):
-        _, step_stencils, deformed = problem.integration
+    reuse = problem.integration is not None and np.array_equal(problem.integration[0], params)
+    stability = problem.integration[1] if reuse else stability_from_grid(geometry, params)
+    margin = check_gate(h, stability, problem.gate)  # on every pass, reused or not
+    if reuse:
+        _, _, step_stencils, deformed = problem.integration
     else:
         deformed = np.array(problem.start_vertices, dtype=np.float64)
         step_stencils = []
@@ -257,6 +234,7 @@ def forward_loss(
     inter = Intermediates(
         problem=problem,
         params=params,
+        stability=stability,
         step_stencils=step_stencils,
         deformed_vertices=deformed,
         face_idx=face_idx,
@@ -317,7 +295,7 @@ def stage_grid_geometry(
     template: TriangleMesh,
     target: TriangleMesh,
     grid_dims,
-    domain_radius: float = 1.5,
+    domain_radius: float,
 ) -> GridGeometry:
     """Cube grid centred on both meshes, padded by the domain-radius factor.
 
@@ -409,7 +387,7 @@ def fit_stage(
             accepted = cand_terms.total <= terms.total  # rejects NaN as well
         if accepted:  # the next forward pass reuses the candidate's integration
             params = candidate
-            integration = (candidate, cand.step_stencils, cand.deformed_vertices)
+            integration = (candidate, cand.stability, cand.step_stencils, cand.deformed_vertices)
         else:
             step_size *= 0.5
             velocity[:] = 0.0
@@ -466,13 +444,10 @@ def fit_pipeline(
     stages_norm: list[DeformationStage] = []
     traces: list[tuple[LossReport, ...]] = []
     current = template_norm
-    level = 0
-    levels: list[int] = []
-    for index, scfg in enumerate(config.stages):
-        while level < scfg.template_subdivision_level:
+    levels = tuple(s.template_subdivision_level for s in config.stages)
+    for index, (prev, level) in enumerate(zip((0,) + levels, levels)):
+        for _ in range(level - prev):  # exact: FitConfig refuses decreasing levels
             current = midpoint_subdivide(current)
-            level += 1
-        levels.append(level)
         stage, trace = fit_stage(
             config, index, DeformationChain(tuple(stages_norm)), current, target_norm
         )
@@ -490,5 +465,5 @@ def fit_pipeline(
         chain=chain,
         traces=tuple(traces),
         final_mesh=final_mesh,
-        template_levels=tuple(levels),
+        template_levels=levels,
     )

@@ -339,11 +339,7 @@ def stability_from_grid(geometry: GridGeometry, data64: np.ndarray) -> Stability
     spacing = geometry.spacing
     per_axis = []
     for axis in range(3):
-        diff = np.empty_like(data)
-        moved = np.moveaxis(diff, axis, 0)
-        src = np.moveaxis(data, axis, 0)
-        moved[:-1] = src[1:] - src[:-1]
-        moved[-1] = src[-1]
+        diff = np.diff(data, axis=axis, append=0.0)  # last index: -U[-1], same norm
         norms = np.sqrt((diff * diff).sum(axis=-1))
         per_axis.append(float(norms.max()) / spacing[axis])
     lipschitz = max(per_axis)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -600,3 +601,34 @@ def test_benchmark_span_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_unused_library_imports_are_benchmark_span_targets():
+    """A name a library module imports but never uses must be one the span
+    tracer wraps on that module; otherwise it is a dead import to delete."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", root / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = {(module, attr) for module, attr, _, _ in spans.WRAPPED}
+    unused = []
+    for path in sorted((root / "src" / "flowmesh").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(module, name) for name in sorted(imported - used)]
+    # today: cli.chamfer, cli.hausdorff, cli.chamfer_normals, fit.sample_grid
+    # and fit.sample_surface; a shorter WRAPPED list turns them into failures
+    assert unused
+    assert [f"{m}.{n}" for m, n in unused if (m, n) not in wrapped] == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowmesh import deform
 from flowmesh import (
     DeformationChain,
     DeformationStage,
@@ -136,26 +137,29 @@ class TestIntegrate:
 
 
 class TestInvertStep:
-    def test_zero_field_one_iteration(self):
+    def test_zero_field_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(deform, "_MAX_ITER", 1)
         y = np.array([0.4, 0.6, 0.8])
-        x = invert_step(zero_field(), y, 0.25, max_iter=1)
+        x = invert_step(zero_field(), y, 0.25)
         assert np.array_equal(x, y)
 
-    def test_constant_block_two_iterations(self):
+    def test_constant_block_two_iterations(self, monkeypatch):
+        monkeypatch.setattr(deform, "_MAX_ITER", 2)
         c = np.array([0.2, -0.1, 0.05])
         field = constant_block_field(c)
         y = np.array([4.0, 4.0, 4.0])
-        x = invert_step(field, y, 0.5, max_iter=2)
+        x = invert_step(field, y, 0.5)
         assert np.allclose(x, y - 0.5 * c, rtol=1e-15)
 
-    def test_inverts_euler_step(self):
+    def test_inverts_euler_step(self, monkeypatch):
+        tol = 1e-12
+        monkeypatch.setattr(deform, "_TOL", tol)
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=7, steps=4)
         stage = DeformationStage(field, 4)
         rng = np.random.default_rng(8)
         x = rng.uniform(0.2, 0.8, size=(200, 3))
         y = euler_step(field, x, stage.h)
-        tol = 1e-12
-        back = invert_step(field, y, stage.h, tol=tol)
+        back = invert_step(field, y, stage.h)
         bound = tol / (1.0 - stage.h * stage.stability.lipschitz_safe)
         assert np.linalg.norm(back - x, axis=1).max() <= bound
 
@@ -164,11 +168,14 @@ class TestInvertStep:
         with pytest.raises(GateViolationError):
             invert_step(field, np.zeros(3), h=1.0)
 
-    def test_max_iter_exceeded_reports_residual(self):
+    def test_max_iter_exceeded_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(deform, "_TOL", 1e-30)
+        monkeypatch.setattr(deform, "_MAX_ITER", 2)
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
         with pytest.raises(InversionError) as err:
-            invert_step(field, np.array([0.5, 0.5, 0.5]), 0.25, tol=1e-30, max_iter=2)
+            invert_step(field, np.array([0.5, 0.5, 0.5]), 0.25)
         assert err.value.residual > 0
+        assert err.value.max_iter == 2
 
 
 def reference_invert_step(field, y, h, tol=1e-12, max_iter=100):

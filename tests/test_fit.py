@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -405,6 +406,34 @@ class TestFitPipeline:
         expected_faces = midpoint_subdivide(template).faces
         assert np.array_equal(result.final_mesh.faces, expected_faces)
 
+    def test_repeated_level_subdivides_once(self, monkeypatch):
+        fitted_on = []  # face count of the template each stage is fitted on
+
+        def recording_fit_stage(config, index, frozen, template, target):
+            fitted_on.append(template.face_count)
+            return real_fit_stage(config, index, frozen, template, target)
+
+        real_fit_stage = fit_module.fit_stage
+        monkeypatch.setattr(fit_module, "fit_stage", recording_fit_stage)
+        template = icosphere(0)
+        target = icosphere(1).with_vertices(icosphere(1).vertices * 1.1)
+        cfg = FitConfig(
+            stages=(
+                StageConfig((5, 5, 5), 2, 1, 0.3, 0),
+                StageConfig((5, 5, 5), 2, 1, 0.3, 1),
+                StageConfig((5, 5, 5), 2, 1, 0.3, 1),
+            ),
+            sample_count=50,
+        )
+        result = fit_pipeline(cfg, template, target)
+        assert result.template_levels == (0, 1, 1)
+        assert fitted_on == [20, 80, 80]
+        from flowmesh import midpoint_subdivide
+
+        expected = apply_chain(result.chain, midpoint_subdivide(template))
+        assert np.array_equal(result.final_mesh.faces, expected.faces)
+        assert result.final_mesh.vertices.tobytes() == expected.vertices.tobytes()
+
     def test_three_stages_chamfer_non_increasing(self):
         template = icosphere(2)
         base = icosphere(3)
@@ -476,6 +505,18 @@ class TestFitConfig:
         )
         again = FitConfig.from_dict(cfg.to_dict())
         assert again == cfg
+        every_field = FitConfig(
+            stages=(StageConfig((5, 6, 7), 3, 2, 0.25, 1), StageConfig((6, 6, 7), 4, 3, 0.5, 2)),
+            chamfer_weight=2.0,
+            edge_weight=0.0,
+            sample_count=77,
+            seed=4,
+            domain_radius=2.0,
+            gate="warn",
+        )
+        raw = json.loads(json.dumps(every_field.to_dict()))
+        assert raw["loss_weights"] == {"chamfer": 2.0, "edge": 0.0}
+        assert FitConfig.from_dict(raw) == every_field
 
     def test_rejects_fine_to_coarse(self):
         with pytest.raises(ValueError, match="coarse-to-fine"):
@@ -502,6 +543,33 @@ class TestFitConfig:
     def test_missing_field_message(self):
         with pytest.raises(ValueError, match="stages"):
             FitConfig.from_dict({})
+
+    STAGE = {"grid_dims": [4, 4, 4], "steps": 1, "iterations": 1, "step_size": 0.1}
+
+    @pytest.mark.parametrize(
+        "raw, name",
+        [
+            ({"stages": [dict(STAGE, step_sise=0.2)]}, "step_sise"),
+            ({"stages": [STAGE], "samples": 10}, "samples"),
+            ({"stages": [STAGE], "loss_weights": {"normal": 1.0}}, "normal"),
+            ({"stages": [{k: v for k, v in STAGE.items() if k != "steps"}]}, "steps"),
+        ],
+        ids=["stage", "top-level", "loss_weights", "missing-stage-field"],
+    )
+    def test_refuses_unknown_and_missing_keys(self, raw, name):
+        with pytest.raises(ValueError, match=name):
+            FitConfig.from_dict(raw)
+
+    def test_stages_only_takes_every_dataclass_default(self):
+        stage = StageConfig(grid_dims=(4, 4, 4), steps=1, iterations=1, step_size=0.1)
+        assert FitConfig.from_dict({"stages": [self.STAGE]}) == FitConfig(stages=(stage,))
+
+        @dataclass(frozen=True)
+        class Retuned(FitConfig):  # a default changed on the dataclass reaches from_dict
+            sample_count: int = 7
+            gate: str = "warn"
+
+        assert Retuned.from_dict({"stages": [self.STAGE]}) == Retuned(stages=(stage,))
 
 
 def test_derive_seed_varies_by_role_and_iteration():
@@ -605,11 +673,13 @@ class TestFitWork:
 
         monkeypatch.setattr(fit_module, "forward_loss", recorded)
         stencils = count_calls(monkeypatch, TrilinearStencil, "__init__")
+        stabilities = count_calls(monkeypatch, fit_module, "stability_from_grid")
         steps, iterations = 4, 10
         fit_stage(self.config(iterations), 0, DeformationChain(), icosphere(2), ellipsoid(3))
         assert all(cand <= cur for cur, cand in zip(totals[::2], totals[1::2]))
         assert len(totals) == 2 * iterations
         assert len(stencils) == steps * (iterations + 1)
+        assert len(stabilities) == iterations + 1  # the reused pass reuses it too
 
     def test_match_clouds_builds_one_tree_per_cloud(self, monkeypatch):
         trees = count_calls(monkeypatch, distances.PointTree, "__init__")
