@@ -71,6 +71,11 @@ _MAX_VOXEL_CELLS = 2**27
 # default.  A run peaks at about 256 B per sample, so about 1 GiB here.
 _MAX_SAMPLES = 2**22
 
+# The most nodes in a fit grid: 2**22, about 161**3.  params, velocity, grad,
+# best_params and the candidate take 5 * 24 = 120 B per node; with the passes'
+# temporaries a fit peaks at about 240 B per node, so about 1 GiB here.
+_MAX_GRID_NODES = 2**22
+
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
@@ -202,6 +207,10 @@ def _write_trace(path, traces) -> None:
 def cmd_fit(args) -> int:
     config = _validated_fit_config(args.config)
     if _refuse_samples(config.sample_count):
+        return EXIT_PRECONDITION
+    nodes = math.prod(config.stages[-1].grid_dims)  # the finest grid: stages go coarse to fine
+    if nodes > _MAX_GRID_NODES:
+        _say(f"error: {nodes} fit grid nodes exceed {_MAX_GRID_NODES} (2**22)")
         return EXIT_PRECONDITION
     template = load_obj(args.template)
     if _refuse_subdivision(template.face_count, config.stages[-1].template_subdivision_level):

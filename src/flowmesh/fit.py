@@ -17,6 +17,7 @@ are rescaled back so the emitted chain acts in the original coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
@@ -46,6 +47,10 @@ from .metrics.sampling import sample_surface, triangle_areas
 
 MOMENTUM = 0.9
 
+# Relative rounding allowance of a candidate's frozen-correspondence bound: its
+# squared distances and their sums are within a few dozen eps of the real values.
+_CERTIFY_SLACK = 1e-12
+
 
 class FitDivergedError(RuntimeError):
     """Optimisation produced a non-finite loss; the trace so far is attached."""
@@ -58,6 +63,15 @@ class FitDivergedError(RuntimeError):
         )
 
 
+def _whole(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integral number >= ``minimum``, else a
+    ValueError naming ``name`` (so 2.0 is 2, and "2" and 2.5 are refused)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StageConfig:
     grid_dims: tuple[int, int, int]
@@ -67,18 +81,14 @@ class StageConfig:
     template_subdivision_level: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.grid_dims)
-        if len(dims) != 3 or any(n < 2 for n in dims):
+        dims = tuple(_whole("grid_dims", n, 2) for n in self.grid_dims)
+        if len(dims) != 3:
             raise ValueError(f"grid_dims needs 3 entries >= 2, got {self.grid_dims}")
         object.__setattr__(self, "grid_dims", dims)
-        if int(self.steps) < 1:
-            raise ValueError("steps must be >= 1")
-        if int(self.iterations) < 1:
-            raise ValueError("iterations must be >= 1")
+        for name, minimum in (("steps", 1), ("iterations", 1), ("template_subdivision_level", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), minimum))
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if int(self.template_subdivision_level) < 0:
-            raise ValueError("template_subdivision_level must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,10 +110,8 @@ class FitConfig:
             raise ValueError("chamfer weight must be positive and finite")
         if not (math.isfinite(self.edge_weight) and self.edge_weight >= 0):
             raise ValueError("edge weight must be non-negative and finite")
-        if int(self.sample_count) < 1:
-            raise ValueError("sample_count must be positive")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be non-negative")
+        for name, minimum in (("sample_count", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), minimum))
         if self.domain_radius < 1.0:
             raise ValueError("domain_radius must be >= 1")
         for prev, nxt in zip(stages, stages[1:]):
@@ -157,6 +165,7 @@ class StageProblem:
     sample_seed: int
     gate: GatePolicy = "strict"
     integration: tuple | None = None  # (params, stability, step stencils, deformed) to reuse
+    certify: tuple | None = None  # (CloudMatch, total) of the forward pass at the same draw
     target_tree: PointTree = dataclass_field(init=False, repr=False)  # of target_points
 
     def __post_init__(self):
@@ -194,7 +203,8 @@ def forward_loss(
     ``draw`` fixes the (face index, barycentric) surface draw; by default a
     fresh draw is taken from the deformed mesh with the problem's sample seed.
     The returned intermediates retain per-step stencils and correspondences
-    for :func:`backward`.
+    for :func:`backward`.  A pass with ``draw`` whose bound certifies it (see
+    :func:`_certified_match`) returns that bound as its loss and runs no NN query.
     """
     geometry = problem.geometry
     params = np.array(params, dtype=np.float64)
@@ -216,16 +226,18 @@ def forward_loss(
             step_stencils.append(stencil)
             deformed = deformed + h * stencil.sample(params)
 
-    mesh = TriangleMesh(deformed, problem.faces)
     if draw is None:
+        mesh = TriangleMesh(deformed, problem.faces)
         face_idx, bary = draw_surface_samples(mesh, problem.sample_count, problem.sample_seed)
     else:
         face_idx, bary = draw
     pred = points_from_draw(deformed, problem.faces, face_idx, bary)
 
-    match = match_clouds(pred, problem.target_tree)
-    chamfer_sq = match.chamfer(squared=True)
     edge_term = mean_squared_edge_length(deformed, problem.edges)
+    match = _certified_match(problem, pred, edge_term) if draw is not None else None
+    if match is None:
+        match = match_clouds(pred, problem.target_tree)
+    chamfer_sq = match.chamfer(squared=True)
     total = problem.chamfer_weight * chamfer_sq + problem.edge_weight * edge_term
 
     terms = LossTerms(
@@ -243,6 +255,18 @@ def forward_loss(
         match=match,
     )
     return terms, inter
+
+
+def _certified_match(problem: StageProblem, pred: np.ndarray, edge_term: float):
+    """``problem.certify``'s partners at ``pred`` if they prove the loss at most
+    its total, else None.  No nearest neighbour is farther than a frozen partner,
+    so their loss bounds the exact one; a NaN bound certifies nothing."""
+    if problem.certify is None:
+        return None
+    frozen, threshold = problem.certify
+    match = CloudMatch.between(pred, problem.target_points, frozen.idx_ab, frozen.idx_ba)
+    bound = problem.chamfer_weight * match.chamfer(squared=True) + problem.edge_weight * edge_term
+    return match if bound * (1.0 + _CERTIFY_SLACK) <= threshold else None
 
 
 def backward(inter: Intermediates) -> np.ndarray:
@@ -368,6 +392,7 @@ def fit_stage(
             raise FitDivergedError(stage_index, trace)
         grad = backward(inter)
         draw = (inter.face_idx, inter.bary)
+        problem.certify = (inter.match, terms.total)
         del inter  # the stencils are not needed past the reverse pass
         problem.integration = integration = None
         grad_norm = float(np.sqrt((grad * grad).sum()))

@@ -73,6 +73,13 @@ class CloudMatch:
     d_ba: np.ndarray
     idx_ba: np.ndarray
 
+    @classmethod
+    def between(cls, a: np.ndarray, b: np.ndarray, idx_ab, idx_ba) -> "CloudMatch":
+        """The match of clouds a and b at the given partners, nearest or not."""
+        d_ab = np.linalg.norm(a - b[idx_ab], axis=1)
+        d_ba = np.linalg.norm(b - a[idx_ba], axis=1)
+        return cls(d_ab, idx_ab, d_ba, idx_ba)
+
     def chamfer(self, squared: bool = False) -> float:
         """Symmetric mean nearest-neighbour distance; ``squared`` averages
         squared distances instead (smooth near zero; the fitting loss)."""
@@ -97,10 +104,7 @@ def match_clouds(a, b) -> CloudMatch:
     ta, tb = (c if isinstance(c, PointTree) else PointTree(_points_of(c)) for c in (a, b))
     idx_ab = nearest_neighbor_indices(ta, tb)
     idx_ba = nearest_neighbor_indices(tb, ta)
-    pa, pb = ta.data, tb.data
-    d_ab = np.linalg.norm(pa - pb[idx_ab], axis=1)
-    d_ba = np.linalg.norm(pb - pa[idx_ba], axis=1)
-    return CloudMatch(d_ab, idx_ab, d_ba, idx_ba)
+    return CloudMatch.between(ta.data, tb.data, idx_ab, idx_ba)
 
 
 def chamfer(a, b, squared: bool = False) -> float:

@@ -331,6 +331,24 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "grid_dims" in err
 
+    @pytest.mark.parametrize("steps, code", [(2.0, 0), (2.7, 1)])
+    def test_integral_float_is_an_integer(self, tmp_path, sphere_obj, capsys, steps, code):
+        # the schema's integer type takes 2.0; the fit must then run with 2 steps
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"stages": [{"grid_dims": [5, 5.0, 5], "steps": steps,
+                                                  "iterations": 1.0, "step_size": 0.1}],
+                                      "sample_count": 50.0}))
+        out_dir = tmp_path / "run"
+        assert main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                     "--config", str(config), "--out-dir", str(out_dir)]) == code
+        if code:
+            assert "steps" in capsys.readouterr().err
+            assert not out_dir.exists()
+        else:
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["stages"][0]["steps"] == 2
+            assert len((out_dir / "trace.jsonl").read_text().splitlines()) == 1
+
     def test_invalid_json_exit_1(self, tmp_path, sphere_obj):
         config = tmp_path / "bad.json"
         config.write_text("{not json")
@@ -575,6 +593,43 @@ def test_fit_guards_exit_2_before_fitting(tmp_path, monkeypatch, capsys):
         else:
             assert err == (f"error: {faces} faces subdivided {levels[-1]} times exceed "
                            "1310720 faces (icosphere level 8)\n")
+        assert out_dir.exists() == (code == 3)
+    assert fitted == []
+
+
+def test_fit_grid_cap_exits_2_before_fitting(tmp_path, monkeypatch, capsys):
+    import flowmesh.cli
+    from flowmesh.cli import _MAX_GRID_NODES
+    from flowmesh.metrics import VoxelizationError
+
+    fitted = []
+
+    def stub(config, template, target):
+        fitted.append(config.stages[-1].grid_dims)
+        raise VoxelizationError("fit reached")  # no grid is ever allocated
+
+    monkeypatch.setattr(flowmesh.cli, "fit_pipeline", stub)
+    template = tmp_path / "t.obj"
+    store_obj(icosphere(0), template)
+    assert _MAX_GRID_NODES == 256 * 128 * 128 == 5 * 397 * 2113 - 1
+    stage = {"steps": 4, "iterations": 1, "step_size": 0.3}
+    cases = [  # (grid_dims of each stage, exit code)
+        ([[256, 128, 128]], 3), ([[4, 4, 4], [256, 128, 128]], 3),
+        ([[5, 397, 2113]], 2), ([[4, 4, 4], [5, 397, 2113]], 2), ([[10**30] * 3], 2),
+    ]
+    for n, (grids, code) in enumerate(cases):
+        config = tmp_path / f"c{n}.json"
+        config.write_text(json.dumps({"stages": [dict(stage, grid_dims=g) for g in grids]}))
+        out_dir = tmp_path / f"run{n}"
+        assert main(["fit", "--template", str(template), "--target", str(template),
+                     "--config", str(config), "--out-dir", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == "error: fit reached\n"
+            assert fitted.pop() == tuple(grids[-1])
+        else:
+            nodes = math.prod(grids[-1])
+            assert err == f"error: {nodes} fit grid nodes exceed {_MAX_GRID_NODES} (2**22)\n"
         assert out_dir.exists() == (code == 3)
     assert fitted == []
 

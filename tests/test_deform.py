@@ -19,6 +19,7 @@ from flowmesh import (
     suggested_steps,
     topology_report,
 )
+from flowmesh.flow_field import grid_jacobians, sample_grid
 
 from conftest import expm_oracle, linear_field, make_gated_field
 
@@ -235,6 +236,39 @@ class TestIntegrateInverse:
         assert np.linalg.norm(fwd_back - pts, axis=1).max() < 1e-9
         back_fwd = integrate(stage, integrate_inverse(stage, pts))
         assert np.linalg.norm(back_fwd - pts, axis=1).max() < 1e-9
+
+
+class TestBatching:
+    """Each row is computed on its own, so feeding the rows in chunks of any
+    size gives the one-batch output bit for bit."""
+
+    N = 150
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        field = make_gated_field((9, 9, 9), (0, 0, 0), (1, 1, 1), seed=21, steps=4)
+        rng = np.random.default_rng(22)
+        pts = rng.uniform(-0.1, 1.1, size=(self.N, 3))  # some outside the grid
+        pts[:30] = rng.integers(0, 9, size=(30, 3)) / 8.0  # on nodes and cell faces
+        return DeformationStage(field, 4), pts
+
+    @pytest.mark.parametrize("name", ["sample_grid", "grid_jacobians", "integrate",
+                                      "integrate_inverse"])
+    @pytest.mark.parametrize("chunk", [1, 7, N])
+    def test_chunks_give_the_same_bits(self, case, name, chunk):
+        stage, pts = case
+        geometry, data64 = stage.field.geometry, stage.field.data64
+        run = {
+            "sample_grid": lambda p: sample_grid(geometry, data64, p),
+            "grid_jacobians": lambda p: grid_jacobians(geometry, data64, p),
+            "integrate": lambda p: integrate(stage, p),
+            "integrate_inverse": lambda p: integrate_inverse(stage, p),
+        }[name]
+        whole = run(pts)
+        chunks = [run(pts[i:i + chunk]) for i in range(0, self.N, chunk)]
+        assert [len(c) for c in chunks] == [len(pts[i:i + chunk]) for i in range(0, self.N, chunk)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        assert whole.shape[0] == self.N and np.isfinite(whole).all()
 
 
 class TestApplyChain:

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from flowmesh import (
     DeformationChain,
@@ -34,6 +37,7 @@ from flowmesh.fit import (
 from flowmesh.flow_field import TrilinearStencil, _boundary_mask, _stencil_weights
 from flowmesh.mesh import unique_edges
 from flowmesh.metrics import chamfer, distances, edge_loss, match_clouds, sample_surface
+from flowmesh.metrics.distances import CloudMatch, mean_squared_edge_length
 
 
 def small_problem(seed=0, steps=2, samples=64, w_edge=1.0, grid=(5, 5, 5)):
@@ -560,6 +564,32 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=name):
             FitConfig.from_dict(raw)
 
+    def test_integral_numbers_are_stored_as_ints(self):
+        raw = {"stages": [{"grid_dims": [4.0, 5, 6.0], "steps": 2.0, "iterations": 3.0,
+                           "step_size": 0.1, "template_subdivision_level": 1.0}],
+               "sample_count": 50.0, "seed": np.int64(7)}
+        cfg = FitConfig.from_dict(raw)
+        s = cfg.stages[0]
+        values = s.grid_dims + (s.steps, s.iterations, s.template_subdivision_level,
+                                cfg.sample_count, cfg.seed)
+        assert values == (4, 5, 6, 2, 3, 1, 50, 7)
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("value", ["3", 2.7, float("nan"), float("inf"), True, -1.0])
+    @pytest.mark.parametrize("name", ["grid_dims", "steps", "iterations",
+                                      "template_subdivision_level", "sample_count", "seed"])
+    def test_refuses_values_that_are_not_integers(self, name, value):
+        stage = dict(self.STAGE, template_subdivision_level=0)
+        raw = {"stages": [stage]}
+        if name == "grid_dims":
+            stage[name] = [4, value, 4]
+        elif name in stage:
+            stage[name] = value
+        else:
+            raw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            FitConfig.from_dict(raw)
+
     def test_stages_only_takes_every_dataclass_default(self):
         stage = StageConfig(grid_dims=(4, 4, 4), steps=1, iterations=1, step_size=0.1)
         assert FitConfig.from_dict({"stages": [self.STAGE]}) == FitConfig(stages=(stage,))
@@ -690,12 +720,33 @@ class TestFitWork:
         assert np.array_equal(match.idx_ab, distances.nearest_neighbor_indices(a, b))
         assert np.array_equal(match.idx_ba, distances.nearest_neighbor_indices(b, a))
 
-    def test_one_iteration_builds_three_trees(self, monkeypatch):
-        # the target cloud's tree serves the forward and the candidate pass;
-        # each pass builds one tree over its predicted cloud
+    @pytest.mark.parametrize("step_size, gate, certified, built", [
+        (0.3, "strict", [True], 2),
+        (100.0, "off", [False], 3),  # the candidate's loss rises
+        (100.0, "strict", [], 2),  # the gate rejects the candidate; no candidate pass
+    ], ids=["certified", "loss_rejected", "gate_rejected"])
+    def test_one_iteration_builds_two_trees_when_certified(
+        self, monkeypatch, step_size, gate, certified, built
+    ):
+        # The target cloud's tree serves the forward and the candidate pass,
+        # and the forward pass builds one over its predicted cloud.  Only a
+        # candidate that its frozen-correspondence bound does not certify
+        # builds a third.
         trees = count_calls(monkeypatch, distances.PointTree, "__init__")
-        fit_stage(self.config(1), 0, DeformationChain(), icosphere(2), ellipsoid(3))
-        assert len(trees) == 3
+        seen = []
+        certify = fit_module._certified_match
+
+        def recorded(problem, pred, edge_term):
+            match = certify(problem, pred, edge_term)
+            seen.append(match is not None)
+            return match
+
+        monkeypatch.setattr(fit_module, "_certified_match", recorded)
+        stages = (StageConfig((6, 6, 6), 4, 1, step_size, 0),)
+        config = FitConfig(stages=stages, sample_count=400, gate=gate)
+        fit_stage(config, 0, DeformationChain(), icosphere(2), ellipsoid(3))
+        assert seen == certified
+        assert len(trees) == built
 
     def test_memory_does_not_grow_with_iterations(self):
         # A reused integration that kept a reference to an earlier problem
@@ -717,3 +768,104 @@ class TestFitWork:
         slots = (one.inside, one.flat, one.local, one.weights)
         integration = 8 * sum(a.nbytes for a in slots)
         assert peaks[2] - peaks[1] < integration
+
+
+def frozen_bound(problem, match, inter):
+    """The candidate loss on the frozen partners of ``match``, as the test computes it."""
+    frozen = CloudMatch.between(inter.pred_points, problem.target_points,
+                                match.idx_ab, match.idx_ba)
+    edge = mean_squared_edge_length(inter.deformed_vertices, problem.edges)
+    return problem.chamfer_weight * frozen.chamfer(squared=True) + problem.edge_weight * edge
+
+
+class TestCertifiedAccept:
+    """A candidate pass is accepted without NN queries only when the forward
+    pass's correspondences, frozen, prove that the exact rule accepts."""
+
+    SLACK = fit_module._CERTIFY_SLACK
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        level=st.integers(0, 1),
+        grid=st.integers(4, 6),
+        steps=st.integers(1, 4),
+        step_size=st.floats(0.01, 300.0),
+        samples=st.integers(10, 400),
+        gate=st.sampled_from(["strict", "off"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bound_holds_and_decisions_are_exact(
+        self, level, grid, steps, step_size, samples, gate, seed
+    ):
+        forward = fit_module.forward_loss
+
+        def audited(params, problem, draw=None):
+            terms, inter = forward(params, problem, draw)
+            if draw is not None:
+                match, threshold = problem.certify
+                problem.certify = None
+                try:
+                    exact, exact_inter = forward(params, problem, draw)
+                finally:
+                    problem.certify = (match, threshold)
+                bound = frozen_bound(problem, match, exact_inter)
+                assert exact.total <= bound * (1 + self.SLACK)
+                assert (terms.total <= threshold) == (exact.total <= threshold)
+                certified = bound * (1 + self.SLACK) <= threshold
+                assert certified == (inter.match.idx_ab is match.idx_ab)
+                if not certified:
+                    assert terms == exact
+                event("certified" if certified else "exact path")
+            return terms, inter
+
+        stages = (StageConfig((grid,) * 3, steps, 3, step_size, 0),)
+        config = FitConfig(stages=stages, sample_count=samples, seed=seed, gate=gate)
+        fit_module.forward_loss = audited
+        try:
+            fit_stage(config, 0, DeformationChain(), icosphere(level), ellipsoid(2))
+        finally:
+            fit_module.forward_loss = forward
+
+    def test_bound_inside_the_slack_takes_the_exact_path(self, monkeypatch):
+        _, _, problem = small_problem()
+        _, inter = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
+        match, draw = inter.match, (inter.face_idx, inter.bary)
+        candidate = random_interior_params(problem.geometry, seed=3, scale=0.02)
+        exact, cand = forward_loss(candidate, problem, draw=draw)  # no certify: exact
+        bound = frozen_bound(problem, match, cand)
+        assert exact.total < bound  # some frozen partner is not the nearest
+        trees = count_calls(monkeypatch, distances.PointTree, "__init__")
+        for threshold, certified in [
+            (bound * (1 + self.SLACK), True),
+            (bound * (1 + self.SLACK / 2), False),  # the bound is within the slack
+            (bound, False),
+            (math.nan, False),
+        ]:
+            problem.certify = (match, threshold)
+            trees.clear()
+            terms, inter = forward_loss(candidate, problem, draw=draw)
+            assert len(trees) == (0 if certified else 1)  # the candidate's predicted cloud
+            assert terms.total == (bound if certified else exact.total)
+            assert np.array_equal(inter.match.idx_ab, (match if certified else cand.match).idx_ab)
+
+    def test_nan_bound_takes_the_exact_path(self, monkeypatch):
+        # One vertex off every drawn face sits so far out that its edges'
+        # squared lengths overflow; at edge weight 0 both the bound and the
+        # exact loss are 0 * inf = NaN, and only the exact pass may say so.
+        _, _, problem = small_problem(w_edge=0.0)
+        far = int(np.setdiff1d(np.arange(len(problem.start_vertices)), problem.faces[0])[0])
+        problem.start_vertices = problem.start_vertices.copy()
+        problem.start_vertices[far] = 1e200
+        rng = np.random.default_rng(4)
+        bary = rng.dirichlet(np.ones(3), size=problem.sample_count)
+        draw = (np.zeros(problem.sample_count, dtype=np.int64), bary)
+        params = np.zeros(problem.geometry.dims + (3,))
+        with np.errstate(over="ignore"):
+            exact, inter = forward_loss(params, problem, draw=draw)
+            assert math.isnan(exact.total)
+            problem.certify = (inter.match, 1.0)
+            trees = count_calls(monkeypatch, distances.PointTree, "__init__")
+            terms, again = forward_loss(params, problem, draw=draw)
+        assert len(trees) == 1
+        assert math.isnan(terms.total)
+        assert np.array_equal(again.match.idx_ab, inter.match.idx_ab)
