@@ -11,6 +11,8 @@ with every step inverted, backward.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from typing import Literal
@@ -46,7 +48,8 @@ class GateViolationError(RuntimeError):
         super().__init__(
             f"step-size gate violated{where}: h={h:.6g}, L={lipschitz:.6g}, "
             f"L_safe={lipschitz_safe:.6g}, h*L_safe={h * lipschitz_safe:.6g} >= 1; "
-            f"use steps >= {self.suggested_steps}"
+            + (f"use steps >= {self.suggested_steps}" if self.suggested_steps
+               else "no step count satisfies the gate")
         )
 
 
@@ -66,9 +69,31 @@ class InversionError(RuntimeError):
         )
 
 
-def suggested_steps(lipschitz_safe: float) -> int:
-    """Smallest advertised step count satisfying the gate: ceil(L_safe) + 1."""
-    return int(math.ceil(lipschitz_safe)) + 1
+def suggested_steps(lipschitz_safe: float) -> int | None:
+    """Smallest advertised step count satisfying the gate: ceil(L_safe) + 1, or
+    None when L_safe is infinite or NaN and no step count satisfies it."""
+    return int(math.ceil(lipschitz_safe)) + 1 if math.isfinite(lipschitz_safe) else None
+
+
+def _whole(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integral number >= ``minimum``, else a
+    ValueError naming ``name`` (so 2.0 is 2, and "2" and 2.5 are refused)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, low: float, above: bool = False) -> float:
+    """``value`` as a float if it is a finite real number >= ``low`` (> ``low``
+    when ``above``), else a ValueError naming ``name`` (so True and NaN are refused)."""
+    # compare Python numbers: float32 <= float_info.max casts the max to inf, with a warning
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            low < value if above else low <= value) or not value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number {'>' if above else '>='} {low}, "
+                         f"got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,9 +105,7 @@ class DeformationStage:
     stability: StabilityEstimate = dataclass_field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise ValueError("steps must be a positive integer")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _whole("steps", self.steps, 1))
         if self.stability is None:
             object.__setattr__(self, "stability", stability_estimate(self.field))
 

@@ -17,16 +17,18 @@ are rescaled back so the emitted chain acts in the original coordinates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
 from .deform import (
+    _GATE_POLICIES,
     DeformationChain,
     DeformationStage,
     GatePolicy,
     GateViolationError,
+    _real,
+    _whole,
     apply_chain,
     check_gate,
 )
@@ -63,13 +65,11 @@ class FitDivergedError(RuntimeError):
         )
 
 
-def _whole(name: str, value, minimum: int) -> int:
-    """``value`` as an int if it is an integral number >= ``minimum``, else a
-    ValueError naming ``name`` (so 2.0 is 2, and "2" and 2.5 are refused)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer())) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+def _typed(name: str, value, kind, what: str):
+    """``value`` if it is a ``kind``, else a ValueError naming ``name``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,14 @@ class StageConfig:
     template_subdivision_level: int = 0
 
     def __post_init__(self):
-        dims = tuple(_whole("grid_dims", n, 2) for n in self.grid_dims)
+        dims = _typed("grid_dims", self.grid_dims, (list, tuple), "a list")
+        dims = tuple(_whole("grid_dims", n, 2) for n in dims)
         if len(dims) != 3:
             raise ValueError(f"grid_dims needs 3 entries >= 2, got {self.grid_dims}")
         object.__setattr__(self, "grid_dims", dims)
         for name, minimum in (("steps", 1), ("iterations", 1), ("template_subdivision_level", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), minimum))
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        object.__setattr__(self, "step_size", _real("step_size", self.step_size, 0, above=True))
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,14 @@ class FitConfig:
         if not stages:
             raise ValueError("at least one stage is required")
         object.__setattr__(self, "stages", stages)
-        if not (math.isfinite(self.chamfer_weight) and self.chamfer_weight > 0):
-            raise ValueError("chamfer weight must be positive and finite")
-        if not (math.isfinite(self.edge_weight) and self.edge_weight >= 0):
-            raise ValueError("edge weight must be non-negative and finite")
+        for name, label, low, above in (("chamfer_weight", "chamfer weight", 0, True),
+                                        ("edge_weight", "edge weight", 0, False),
+                                        ("domain_radius", "domain_radius", 1, False)):
+            object.__setattr__(self, name, _real(label, getattr(self, name), low, above))
         for name, minimum in (("sample_count", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), minimum))
-        if self.domain_radius < 1.0:
-            raise ValueError("domain_radius must be >= 1")
+        if self.gate not in _GATE_POLICIES:
+            raise ValueError(f"gate must be one of {_GATE_POLICIES}, got {self.gate!r}")
         for prev, nxt in zip(stages, stages[1:]):
             if any(b < a for a, b in zip(prev.grid_dims, nxt.grid_dims)):
                 raise ValueError("grid_dims must be coarse-to-fine or equal")
@@ -123,10 +123,14 @@ class FitConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "FitConfig":
         """Config from its JSON form; every default is the dataclasses' own."""
-        fields = dict(raw)
+        fields = dict(_typed("fit config", raw, dict, "an object"))
+        weights = _typed("loss_weights", fields.pop("loss_weights", {}), dict, "an object")
+        if spelled := {"chamfer_weight", "edge_weight"} & fields.keys():
+            raise ValueError(f"fit config has unknown field {min(spelled)!r}; use loss_weights")
         try:
-            weights = fields.pop("loss_weights", {})
-            stages = tuple(StageConfig(**s) for s in fields.pop("stages"))
+            stages = _typed("stages", fields.pop("stages"), (list, tuple), "a list")
+            stages = tuple(StageConfig(**_typed(f"stages[{i}]", s, dict, "an object"))
+                           for i, s in enumerate(stages))
             return cls(stages, **fields, **{f"{k}_weight": v for k, v in weights.items()})
         except KeyError as exc:
             raise ValueError(f"fit config is missing field {exc.args[0]!r}") from exc

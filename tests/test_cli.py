@@ -2,6 +2,10 @@ import ast
 import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,9 +13,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from flowmesh import icosphere, load_obj, store_flow, store_obj, topology_report
+from flowmesh import icosphere, load_flow, load_obj, store_flow, store_obj, topology_report
 from flowmesh.cli import load_schema, main
 from flowmesh.deform import GateWarning
+from flowmesh.fit import FitConfig
 from flowmesh.flow_field import FlowField, GridGeometry
 
 from conftest import make_gated_field
@@ -264,6 +269,17 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "gate h*L<=1: FAIL" in err
 
+    def test_infinite_lipschitz_exit_2_without_suggestion(self, tmp_path, capsys):
+        geometry = GridGeometry((4, 4, 4), (0, 0, 0), (1e-320,) * 3)  # subnormal spacing
+        data = np.zeros((4, 4, 4, 3), dtype=np.float32)
+        data[1, 1, 1] = (1.0, 0.0, 0.0)
+        path = tmp_path / "tiny.dff1"
+        store_flow(FlowField(geometry, data), path)
+        assert main(["check", "--flow", str(path), "--steps", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "L_safe=inf" in err and "gate h*L_safe<1: FAIL" in err
+        assert err.endswith("suggested steps: none satisfies the gate\n")
+
     def test_malformed_flow_exit_1(self, tmp_path):
         path = tmp_path / "junk.dff1"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -333,7 +349,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("steps, code", [(2.0, 0), (2.7, 1)])
     def test_integral_float_is_an_integer(self, tmp_path, sphere_obj, capsys, steps, code):
-        # the schema's integer type takes 2.0; the fit must then run with 2 steps
+        # FitConfig takes 2.0 as the integer 2; the fit must then run with 2 steps
         config = tmp_path / "fit.json"
         config.write_text(json.dumps({"stages": [{"grid_dims": [5, 5.0, 5], "steps": steps,
                                                   "iterations": 1.0, "step_size": 0.1}],
@@ -348,6 +364,18 @@ class TestFitCommand:
             manifest = json.loads((out_dir / "manifest.json").read_text())
             assert manifest["stages"][0]["steps"] == 2
             assert len((out_dir / "trace.jsonl").read_text().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_size_with_no_gated_step_count_is_rejected(self, tmp_path, sphere_obj):
+        # every proposal's L_safe overflows to inf, so the strict gate rejects it
+        config = self.write_config(tmp_path, stages=[
+            {"grid_dims": [5, 5, 5], "steps": 2, "iterations": 2, "step_size": 1e200}
+        ], sample_count=50)
+        out_dir = tmp_path / "run"
+        code = main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 0
+        assert not load_flow(out_dir / "stage_000.dff1").data.any()
 
     def test_invalid_json_exit_1(self, tmp_path, sphere_obj):
         config = tmp_path / "bad.json"
@@ -374,6 +402,58 @@ class TestFitCommand:
         lines = (out_dir / "trace.jsonl").read_text().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["total"] == 1.5
+
+
+_STAGE = {"grid_dims": [4, 4, 4], "steps": 1, "iterations": 1, "step_size": 0.1}
+_REFUSED_CONFIGS = [  # (config, the field its message names)
+    ([1, 2], "fit config"),
+    (None, "fit config"),
+    ({"stages": [_STAGE], "loss_weights": [1]}, "loss_weights"),
+    ({"stages": [_STAGE], "loss_weights": "x"}, "loss_weights"),
+    ({"stages": [_STAGE], "loss_weights": None}, "loss_weights"),
+    ({"stages": [_STAGE], "gate": "bogus"}, "gate"),
+    ({"stages": [_STAGE], "gate": None}, "gate"),
+    ({"stages": [dict(_STAGE, step_size=True)]}, "step_size"),
+    ({"stages": [_STAGE], "domain_radius": True}, "domain_radius"),
+    ({"stages": [_STAGE], "loss_weights": {"chamfer": True}}, "chamfer weight"),
+    ({"stages": [_STAGE], "loss_weights": {"edge": False}}, "edge weight"),
+    ({"stages": [_STAGE], "chamfer_weight": 2.0}, "chamfer_weight"),
+    ({"stages": [_STAGE], "edge_weight": 0.0}, "edge_weight"),
+    ({"stages": 5}, "stages"),
+    ({"stages": [5]}, "stages[0]"),
+    ({"stages": [dict(_STAGE, grid_dims=4)]}, "grid_dims"),
+] + [  # non-finite literals, which Python's json reads
+    ({"stages": [dict(_STAGE, step_size=v)]}, "step_size") for v in (math.nan, math.inf)
+] + [
+    ({"stages": [_STAGE], "domain_radius": v}, "domain_radius") for v in (math.nan, math.inf)
+] + [
+    ({"stages": [_STAGE], "loss_weights": {k: v}}, f"{k} weight")
+    for k in ("chamfer", "edge") for v in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("raw, name", _REFUSED_CONFIGS,
+                         ids=[json.dumps(raw).replace(json.dumps(_STAGE)[1:-1], "STAGE")
+                              for raw, _ in _REFUSED_CONFIGS])
+def test_refused_config_exits_1_before_out_dir(tmp_path, sphere_obj, capsys, raw, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        FitConfig.from_dict(raw)  # never a TypeError or an AttributeError
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "run"
+    assert main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                 "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out_dir.exists()
+
+
+def test_cli_import_leaves_out_jsonschema():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, flowmesh.cli; print('jsonschema' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout == "False\n"
 
 
 class TestRefusedInput:

@@ -360,6 +360,32 @@ class TestCheckGate:
             check_gate(0.5, stability)
         assert check_gate(np.nextafter(0.5, 0.0), stability) > 0.0
 
+    @pytest.mark.parametrize("lipschitz", [np.inf, np.nan])
+    def test_non_finite_lipschitz_has_no_step_count(self, lipschitz):
+        from flowmesh import StabilityEstimate
+        from flowmesh.deform import check_gate
+
+        assert suggested_steps(lipschitz) is None
+        stability = StabilityEstimate((lipschitz,) * 3, lipschitz, 1.0, lipschitz_safe=lipschitz)
+        with pytest.raises(GateViolationError, match="no step count satisfies the gate") as err:
+            check_gate(0.25, stability, stage_index=1)
+        assert err.value.suggested_steps is None
+        assert err.value.stage_index == 1
+        assert suggested_steps(1e300) == int(1e300) + 1  # finite, however large
+
+
+class TestStageSteps:
+    def test_integral_number_is_stored_as_int(self):
+        for steps in (2.0, np.int64(2), np.float64(2.0)):
+            stage = DeformationStage(zero_field(), steps)
+            assert stage.steps == 2 and type(stage.steps) is int
+            assert stage.h == 0.5
+
+    @pytest.mark.parametrize("steps", [2.7, "3", True, 0, -1.0, np.nan, np.inf])
+    def test_refuses_values_that_are_not_step_counts(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+            DeformationStage(zero_field(), steps)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -590,6 +590,32 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             FitConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", ["0.1", True, None, float("nan"), float("inf"),
+                                       float("-inf"), -1.0, 10**400])
+    @pytest.mark.parametrize("name, label", [("step_size", "step_size"),
+                                             ("domain_radius", "domain_radius"),
+                                             ("chamfer", "chamfer weight"),
+                                             ("edge", "edge weight")])
+    def test_refuses_values_that_are_not_finite_numbers(self, name, label, value):
+        stage = dict(self.STAGE)
+        raw = {"stages": [stage]}
+        if name == "step_size":
+            stage[name] = value
+        elif name == "domain_radius":
+            raw[name] = value
+        else:
+            raw["loss_weights"] = {name: value}
+        with pytest.raises(ValueError, match=f"^{label} must be a finite number"):
+            FitConfig.from_dict(raw)
+
+    def test_real_numbers_are_stored_as_floats(self):
+        raw = {"stages": [dict(self.STAGE, step_size=1)], "domain_radius": np.float32(2),
+               "loss_weights": {"chamfer": 3, "edge": 0}}
+        cfg = FitConfig.from_dict(raw)
+        values = (cfg.stages[0].step_size, cfg.domain_radius, cfg.chamfer_weight, cfg.edge_weight)
+        assert values == (1.0, 2.0, 3.0, 0.0)
+        assert all(type(v) is float for v in values)
+
     def test_stages_only_takes_every_dataclass_default(self):
         stage = StageConfig(grid_dims=(4, 4, 4), steps=1, iterations=1, step_size=0.1)
         assert FitConfig.from_dict({"stages": [self.STAGE]}) == FitConfig(stages=(stage,))
