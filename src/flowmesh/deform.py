@@ -169,28 +169,21 @@ def check_gate(
     return margin
 
 
-def _finite_point_array(points) -> tuple[np.ndarray, bool]:
-    pts, single = _as_point_array(points)
+def _finite_point_array(points) -> np.ndarray:
+    pts = _as_point_array(points)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    return pts, single
-
-
-def euler_step(field: FlowField, x, h: float) -> np.ndarray:
-    """One explicit step x + h * v(x); accepts a finite point or (N, 3) array."""
-    pts, single = _finite_point_array(x)
-    out = pts + h * sample_grid(field.geometry, field.data64, pts)
-    return out[0] if single else out
+    return pts
 
 
 def integrate(stage: DeformationStage, points, gate: GatePolicy = "strict") -> np.ndarray:
-    """Advance each (finite) point independently by n Euler steps of size 1/n."""
+    """Advance each point of a finite (N, 3) batch independently by n Euler steps of size 1/n."""
     check_gate(stage.h, stage.stability, gate)
-    x, single = _finite_point_array(points)
+    x = _finite_point_array(points)
     geometry, data64 = stage.field.geometry, stage.field.data64
     for _ in range(stage.steps):
         x = x + stage.h * sample_grid(geometry, data64, x)
-    return x[0] if single else x
+    return x
 
 
 def invert_step(
@@ -198,15 +191,15 @@ def invert_step(
 ) -> np.ndarray:
     """Solve y = x + h*v(x) by the contraction x <- y - h*v(x), started at y.
 
-    Requires h * lipschitz_safe < 1 and finite points.  Each point iterates until
-    its residual ||y - x - h*v(x)|| is within max(_TOL, 4 eps ||y||_inf) and is
-    then frozen, so results do not depend on how points are batched; after
-    _MAX_ITER iterations InversionError is raised.
+    Requires h * lipschitz_safe < 1 and a finite (N, 3) batch.  Each point
+    iterates until its residual ||y - x - h*v(x)|| is within
+    max(_TOL, 4 eps ||y||_inf) and is then frozen, so results do not depend on
+    how points are batched; after _MAX_ITER iterations InversionError is raised.
     """
     if stability is None:
         stability = stability_estimate(field)
     check_gate(h, stability)
-    ys, single = _finite_point_array(y)
+    ys = _finite_point_array(y)
     x = ys.copy()
     result = np.empty_like(ys)
     active = np.arange(len(ys))
@@ -229,15 +222,15 @@ def invert_step(
         v = sample_grid(geometry, data64, x)
         residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
         raise InversionError(float(residual.max()), _MAX_ITER)
-    return result[0] if single else result
+    return result
 
 
 def integrate_inverse(stage: DeformationStage, points) -> np.ndarray:
     """Undo integrate() by inverting its n steps (strictly gated) in reverse."""
-    x, single = _as_point_array(points)
+    x = _as_point_array(points)
     for _ in range(stage.steps):
         x = invert_step(stage.field, x, stage.h, stability=stage.stability)
-    return x[0] if single else x
+    return x
 
 
 def apply_chain(

@@ -335,7 +335,10 @@ def stage_grid_geometry(
     dims = tuple(int(n) for n in grid_dims)
     origin = tuple(center[a] - extent for a in range(3))
     spacing = tuple(2.0 * extent / (dims[a] - 1) for a in range(3))
-    return GridGeometry(dims, origin, spacing)
+    try:
+        return GridGeometry(dims, origin, spacing)
+    except ValueError as exc:  # a huge domain_radius overflows the spacing to inf
+        raise ValueError(f"domain_radius {domain_radius!r} gives no finite grid: {exc}") from exc
 
 
 def fit_stage(

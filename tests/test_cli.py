@@ -365,7 +365,6 @@ class TestFitCommand:
             assert manifest["stages"][0]["steps"] == 2
             assert len((out_dir / "trace.jsonl").read_text().splitlines()) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_step_size_with_no_gated_step_count_is_rejected(self, tmp_path, sphere_obj):
         # every proposal's L_safe overflows to inf, so the strict gate rejects it
         config = self.write_config(tmp_path, stages=[
@@ -376,6 +375,16 @@ class TestFitCommand:
                      "--config", str(config), "--out-dir", str(out_dir)])
         assert code == 0
         assert not load_flow(out_dir / "stage_000.dff1").data.any()
+
+    def test_domain_radius_overflowing_the_grid_exits_1(self, tmp_path, sphere_obj, capsys):
+        # finite, so FitConfig takes it, but the grid spacing overflows to inf
+        config = self.write_config(tmp_path, stages=[
+            {"grid_dims": [5, 5, 5], "steps": 2, "iterations": 2, "step_size": 0.1}
+        ], sample_count=50, domain_radius=1e308)
+        code = main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                     "--config", str(config), "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "domain_radius" in capsys.readouterr().err
 
     def test_invalid_json_exit_1(self, tmp_path, sphere_obj):
         config = tmp_path / "bad.json"

@@ -11,7 +11,6 @@ from flowmesh import (
     GridGeometry,
     InversionError,
     apply_chain,
-    euler_step,
     icosphere,
     integrate,
     integrate_inverse,
@@ -19,7 +18,7 @@ from flowmesh import (
     suggested_steps,
     topology_report,
 )
-from flowmesh.flow_field import grid_jacobians, sample_grid
+from flowmesh.flow_field import sample_grid
 
 from conftest import expm_oracle, linear_field, make_gated_field
 
@@ -38,15 +37,19 @@ def constant_block_field(c=(0.3, -0.2, 0.1), dims=(9, 9, 9)):
 
 
 class TestEulerStep:
+    """The explicit step x + h * v(x) that integrate() repeats."""
+
     def test_zero_field_identity(self):
-        x = np.array([1.2, 2.1, 0.7])
-        assert np.array_equal(euler_step(zero_field(), x, 0.25), x)
+        field = zero_field()
+        x = np.array([[1.2, 2.1, 0.7]])
+        assert np.array_equal(x + 0.25 * sample_grid(field.geometry, field.data64, x), x)
 
     def test_constant_block(self):
         c = np.array([0.3, -0.2, 0.1])
         field = constant_block_field(c)
-        x = np.array([4.0, 4.2, 3.9])  # stencil entirely inside the block
-        assert np.allclose(euler_step(field, x, 0.1), x + 0.1 * c, rtol=1e-15)
+        x = np.array([[4.0, 4.2, 3.9]])  # stencil entirely inside the block
+        step = x + 0.1 * sample_grid(field.geometry, field.data64, x)
+        assert np.allclose(step, x + 0.1 * c, rtol=1e-15)
 
     def test_injectivity_margin(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=1, steps=4)
@@ -56,8 +59,8 @@ class TestEulerStep:
         rng = np.random.default_rng(2)
         x = rng.uniform(-0.2, 1.2, size=(2000, 3))
         y = rng.uniform(-0.2, 1.2, size=(2000, 3))
-        fx = euler_step(field, x, h)
-        fy = euler_step(field, y, h)
+        fx = x + h * sample_grid(field.geometry, field.data64, x)
+        fy = y + h * sample_grid(field.geometry, field.data64, y)
         lhs = np.linalg.norm(fx - fy, axis=1)
         rhs = bound * np.linalg.norm(x - y, axis=1)
         assert np.all(lhs >= rhs - 1e-12)
@@ -140,7 +143,7 @@ class TestIntegrate:
 class TestInvertStep:
     def test_zero_field_one_iteration(self, monkeypatch):
         monkeypatch.setattr(deform, "_MAX_ITER", 1)
-        y = np.array([0.4, 0.6, 0.8])
+        y = np.array([[0.4, 0.6, 0.8]])
         x = invert_step(zero_field(), y, 0.25)
         assert np.array_equal(x, y)
 
@@ -148,7 +151,7 @@ class TestInvertStep:
         monkeypatch.setattr(deform, "_MAX_ITER", 2)
         c = np.array([0.2, -0.1, 0.05])
         field = constant_block_field(c)
-        y = np.array([4.0, 4.0, 4.0])
+        y = np.array([[4.0, 4.0, 4.0]])
         x = invert_step(field, y, 0.5)
         assert np.allclose(x, y - 0.5 * c, rtol=1e-15)
 
@@ -159,7 +162,7 @@ class TestInvertStep:
         stage = DeformationStage(field, 4)
         rng = np.random.default_rng(8)
         x = rng.uniform(0.2, 0.8, size=(200, 3))
-        y = euler_step(field, x, stage.h)
+        y = x + stage.h * sample_grid(field.geometry, field.data64, x)
         back = invert_step(field, y, stage.h)
         bound = tol / (1.0 - stage.h * stage.stability.lipschitz_safe)
         assert np.linalg.norm(back - x, axis=1).max() <= bound
@@ -167,14 +170,14 @@ class TestInvertStep:
     def test_precondition_violation(self):
         field = make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=9, steps=4)
         with pytest.raises(GateViolationError):
-            invert_step(field, np.zeros(3), h=1.0)
+            invert_step(field, np.zeros((1, 3)), h=1.0)
 
     def test_max_iter_exceeded_reports_residual(self, monkeypatch):
         monkeypatch.setattr(deform, "_TOL", 1e-30)
         monkeypatch.setattr(deform, "_MAX_ITER", 2)
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
         with pytest.raises(InversionError) as err:
-            invert_step(field, np.array([0.5, 0.5, 0.5]), 0.25)
+            invert_step(field, np.array([[0.5, 0.5, 0.5]]), 0.25)
         assert err.value.residual > 0
         assert err.value.max_iter == 2
 
@@ -184,7 +187,7 @@ def reference_invert_step(field, y, h, tol=1e-12, max_iter=100):
     ys = np.asarray(y, dtype=np.float64)
     x, result, active = ys.copy(), np.empty_like(ys), np.arange(len(ys))
     for _ in range(max_iter):
-        v = field.sample(x)
+        v = sample_grid(field.geometry, field.data64, x)
         done = np.linalg.norm(ys[active] - x - h * v, axis=1) <= tol
         result[active[done]] = x[done]
         active, x, v = active[~done], x[~done], v[~done]
@@ -252,15 +255,13 @@ class TestBatching:
         pts[:30] = rng.integers(0, 9, size=(30, 3)) / 8.0  # on nodes and cell faces
         return DeformationStage(field, 4), pts
 
-    @pytest.mark.parametrize("name", ["sample_grid", "grid_jacobians", "integrate",
-                                      "integrate_inverse"])
+    @pytest.mark.parametrize("name", ["sample_grid", "integrate", "integrate_inverse"])
     @pytest.mark.parametrize("chunk", [1, 7, N])
     def test_chunks_give_the_same_bits(self, case, name, chunk):
         stage, pts = case
         geometry, data64 = stage.field.geometry, stage.field.data64
         run = {
             "sample_grid": lambda p: sample_grid(geometry, data64, p),
-            "grid_jacobians": lambda p: grid_jacobians(geometry, data64, p),
             "integrate": lambda p: integrate(stage, p),
             "integrate_inverse": lambda p: integrate_inverse(stage, p),
         }[name]
@@ -387,6 +388,23 @@ class TestStageSteps:
             DeformationStage(zero_field(), steps)
 
 
+@pytest.mark.parametrize("name", ["contains", "sample_grid", "integrate", "invert_step",
+                                  "integrate_inverse"])
+def test_lone_point_is_refused(name):
+    """Points are (N, 3) batches: a (3,) point is refused, not read as one row."""
+    stage = DeformationStage(zero_field(), 4)
+    field = stage.field
+    run = {
+        "contains": lambda p: field.geometry.contains(p),
+        "sample_grid": lambda p: sample_grid(field.geometry, field.data64, p),
+        "integrate": lambda p: integrate(stage, p),
+        "invert_step": lambda p: invert_step(field, p, stage.h),
+        "integrate_inverse": lambda p: integrate_inverse(stage, p),
+    }[name]
+    with pytest.raises(ValueError, match=r"^points must have shape \(N, 3\), got \(3,\)$"):
+        run(np.array([0.5, 0.5, 0.5]))
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_integrate_refuses(self, bad):
@@ -399,14 +417,11 @@ class TestNonFiniteInput:
             integrate(stage, pts)
         with pytest.raises(ValueError, match="finite"):
             integrate_inverse(stage, pts)
-        for x in (pts, pts[1]):
-            with pytest.raises(ValueError, match="finite"):
-                euler_step(stage.field, x, stage.h)
 
     def test_invert_step_refuses_before_iterating(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=43, steps=4)
         with pytest.raises(ValueError, match="finite"):
-            invert_step(field, np.array([0.5, np.nan, 0.5]), 0.25)
+            invert_step(field, np.array([[0.5, np.nan, 0.5]]), 0.25)
 
     def test_apply_chain_refuses_nan_vertices(self):
         mesh = icosphere(1, radius=0.3, center=(0.5, 0.5, 0.5))

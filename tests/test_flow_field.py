@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmesh import (
-    BoundaryRepairWarning,
     FlowField,
     FlowFormatError,
     GridGeometry,
     enforce_zero_boundary,
     load_flow,
-    sample,
     stability_estimate,
     store_flow,
 )
-from flowmesh.flow_field import _CORNERS, DFF1_MAGIC, _boundary_mask, scatter_add
+from flowmesh.flow_field import (
+    _CORNERS,
+    DFF1_MAGIC,
+    TrilinearStencil,
+    _boundary_mask,
+    sample_grid,
+    scatter_add,
+)
 
 from conftest import make_gated_field, stability_oracle, trilinear_oracle
 
@@ -26,6 +31,11 @@ def interior_field(dims, values_fn, origin=(0.0, 0.0, 0.0), spacing=(1.0, 1.0, 1
     data = np.zeros(dims + (3,), dtype=np.float32)
     values_fn(data)
     return FlowField(geometry, data)
+
+
+def interpolate(field, points):
+    """The field's trilinear interpolant at an (N, 3) batch of points."""
+    return sample_grid(field.geometry, field.data64, points)
 
 
 class TestGridGeometry:
@@ -40,16 +50,14 @@ class TestGridGeometry:
     def test_domain_bounds(self):
         g = GridGeometry((3, 5, 2), (1, -1, 0), (0.5, 0.25, 2.0))
         assert np.allclose(g.upper, [2.0, 0.0, 2.0])
-        assert g.contains((1.5, -0.5, 1.0))
-        assert not g.contains((2.5, 0.0, 0.0))
+        assert g.contains([(1.5, -0.5, 1.0), (2.5, 0.0, 0.0)]).tolist() == [True, False]
 
 
 class TestSample:
     def test_zero_field_everywhere_zero(self):
         field = interior_field((4, 4, 4), lambda d: None)
         pts = [(0.3, 1.2, 2.7), (-5, 0, 0), (1, 1, 1), (100, 100, 100)]
-        for p in pts:
-            assert np.array_equal(sample(field, p), np.zeros(3))
+        assert np.array_equal(interpolate(field, pts), np.zeros((4, 3)))
 
     def test_node_exactness(self):
         # Dyadic origin/spacing keep node positions exactly representable.
@@ -57,15 +65,13 @@ class TestSample:
         geometry = GridGeometry((5, 4, 6), (-2.0, 0.5, 1.0), (0.25, 0.5, 0.125))
         data = rng.normal(size=(5, 4, 6, 3)).astype(np.float32)
         field = FlowField(geometry, data)
-        for i in range(5):
-            for j in range(4):
-                for k in range(6):
-                    p = geometry.node_position(i, j, k)
-                    assert np.array_equal(sample(field, p), field.data64[i, j, k])
+        nodes = np.indices(geometry.dims).reshape(3, -1).T
+        positions = geometry.lower + nodes * np.array(geometry.spacing)
+        assert np.array_equal(interpolate(field, positions), field.data64.reshape(-1, 3))
 
     def test_all_boundary_grid_is_zero_at_center(self):
         field = interior_field((2, 2, 2), lambda d: None)
-        assert np.array_equal(sample(field, (0.5, 0.5, 0.5)), np.zeros(3))
+        assert np.array_equal(interpolate(field, [(0.5, 0.5, 0.5)]), np.zeros((1, 3)))
 
     def test_single_node_blend_matches_oracle(self):
         def put(d):
@@ -75,16 +81,16 @@ class TestSample:
         rng = np.random.default_rng(2)
         cell_center = np.array([1.5, 1.5, 1.5])
         pts = [cell_center] + [rng.uniform(0.2, 2.8, size=3) for _ in range(20)]
-        for p in pts:
+        for p, value in zip(pts, interpolate(field, pts)):
             expected = trilinear_oracle(field.geometry, field.data64, p)
-            assert np.allclose(sample(field, p), expected, rtol=1e-13, atol=1e-15)
+            assert np.allclose(value, expected, rtol=1e-13, atol=1e-15)
 
     def test_outside_support_exact_zero(self):
         field = make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=3, steps=4)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-3, 4, size=(200, 3))
         outside = ~field.geometry.contains(pts)
-        values = sample(field, pts)
+        values = interpolate(field, pts)
         assert np.all(values[outside] == 0.0)
 
     def test_continuous_across_boundary(self):
@@ -95,20 +101,20 @@ class TestSample:
         on_boundary = np.column_stack(
             [np.zeros(100), rng.uniform(0, 1, 100), rng.uniform(0, 1, 100)]
         )
-        assert np.all(sample(field, on_boundary) == 0.0)
+        assert np.all(interpolate(field, on_boundary) == 0.0)
         for eps in (1e-3, 1e-6, 1e-9):
             near = on_boundary + [eps, 0.0, 0.0]
-            norms = np.linalg.norm(sample(field, near), axis=1)
+            norms = np.linalg.norm(interpolate(field, near), axis=1)
             est = stability_estimate(field)
             assert np.all(norms <= est.per_axis_lipschitz[0] * eps * (1 + 1e-9))
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_one_row_batches(self):
         field = make_gated_field((5, 5, 5), (0, 0, 0), (2, 2, 2), seed=5, steps=4)
         rng = np.random.default_rng(6)
         pts = rng.uniform(-0.5, 2.5, size=(50, 3))
-        batch = sample(field, pts)
+        batch = interpolate(field, pts)
         for row, p in zip(batch, pts):
-            assert np.array_equal(row, sample(field, p))
+            assert np.array_equal(row, interpolate(field, p[None])[0])
 
 
 class TestStability:
@@ -168,38 +174,34 @@ class TestStability:
             x = rng.uniform(-0.2, 2.2, size=(n, 3))
             y = x.copy()
             y[:, axis] = rng.uniform(-0.2, 2.2, size=n)
-            dv = np.linalg.norm(sample(field, x) - sample(field, y), axis=1)
+            dv = np.linalg.norm(interpolate(field, x) - interpolate(field, y), axis=1)
             gap = np.abs(x[:, axis] - y[:, axis])
             assert np.all(dv <= est.per_axis_lipschitz[axis] * gap + slack)
         # global bound and boundedness
         x = rng.uniform(-0.2, 2.2, size=(n, 3))
         y = rng.uniform(-0.2, 2.2, size=(n, 3))
-        dv = np.linalg.norm(sample(field, x) - sample(field, y), axis=1)
+        dv = np.linalg.norm(interpolate(field, x) - interpolate(field, y), axis=1)
         assert np.all(dv <= est.lipschitz_safe * np.linalg.norm(x - y, axis=1) + slack)
-        assert np.all(np.linalg.norm(sample(field, x), axis=1) <= est.max_speed + slack)
+        assert np.all(np.linalg.norm(interpolate(field, x), axis=1) <= est.max_speed + slack)
 
 
 class TestJacobian:
-    def test_matches_finite_differences_of_sampler(self):
-        from flowmesh.flow_field import grid_jacobians
-
+    def test_transpose_matches_finite_differences_of_sampler(self):
+        # g . J against central differences of g . v, one axis at a time
         field = make_gated_field((6, 6, 6), (0, 0, 0), (2, 2, 2), seed=21, steps=4)
         rng = np.random.default_rng(22)
         pts = rng.uniform(0.3, 1.7, size=(50, 3))
-        jac = grid_jacobians(field.geometry, field.data64, pts)
+        g = rng.normal(size=(50, 3))
+        stencil = TrilinearStencil(field.geometry, pts)
+        assert len(stencil.inside) == len(pts)
+        gj = stencil.jacobian_transpose(field.data64, g)
         eps = 1e-7
         for axis in range(3):
             shift = np.zeros(3)
             shift[axis] = eps
-            fd = (sample(field, pts + shift) - sample(field, pts - shift)) / (2 * eps)
-            assert np.allclose(jac[:, :, axis], fd, rtol=1e-6, atol=1e-9)
-
-    def test_zero_outside_domain(self):
-        from flowmesh.flow_field import grid_jacobians
-
-        field = make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=23, steps=4)
-        jac = grid_jacobians(field.geometry, field.data64, np.array([[5.0, 5.0, 5.0]]))
-        assert not jac.any()
+            dv = interpolate(field, pts + shift) - interpolate(field, pts - shift)
+            fd = np.sum(g * dv, axis=1) / (2 * eps)
+            assert np.allclose(gj[:, axis], fd, rtol=1e-6, atol=1e-9)
 
 
 class TestBoundary:
@@ -308,7 +310,7 @@ class TestDff1:
             load_flow(path)
         assert err.value.code == "non_finite"
 
-    def test_boundary_violation_and_repair(self, tmp_path):
+    def test_boundary_violation(self, tmp_path):
         geometry = GridGeometry((3, 3, 3), (0, 0, 0), (1, 1, 1))
         data = np.zeros((3, 3, 3, 3), dtype=np.float32)
         data[0, 0, 0] = (1, 2, 3)
@@ -318,10 +320,6 @@ class TestDff1:
         with pytest.raises(FlowFormatError) as err:
             load_flow(path)
         assert err.value.code == "boundary"
-        with pytest.warns(BoundaryRepairWarning):
-            repaired = load_flow(path, repair_boundary=True)
-        assert not repaired.data[0, 0, 0].any()
-        assert np.array_equal(repaired.data[1, 1, 1], np.array([4, 5, 6], np.float32))
 
 
 @settings(max_examples=25, deadline=None)
@@ -344,8 +342,6 @@ class TestTrilinearStencil:
 
     @staticmethod
     def batch():
-        from flowmesh.flow_field import TrilinearStencil
-
         geometry = GridGeometry((5, 6, 7), (-1.0, -0.5, 0.0), (0.5, 0.4, 0.3))
         data = np.random.default_rng(31).normal(size=(5, 6, 7, 3))
         pts = np.random.default_rng(32).uniform(-1.3, 2.3, size=(400, 3))
@@ -373,23 +369,34 @@ class TestTrilinearStencil:
         rhs = float(np.sum(data.reshape(-1, 3) * out))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_jacobian_transpose_matches_grid_jacobians(self):
-        from flowmesh.flow_field import grid_jacobians
-
+    def test_jacobian_transpose_matches_cell_face_differences(self):
+        # the interpolant is linear along each axis within a cell, so dv/dx_a
+        # is the difference of its values on the two cell faces across axis a,
+        # in the cell the stencil assigns (the one above a face, the last one
+        # on the upper faces)
         geometry, data, pts, stencil = self.batch()
-        jac = grid_jacobians(geometry, data, pts)
-        outside = np.ones(len(pts), dtype=bool)
-        outside[stencil.inside] = False
-        assert not jac[outside].any()
-        g = np.random.default_rng(34).normal(size=(len(stencil.inside), 3))
-        expected = np.einsum("nca,nc->na", jac[stencil.inside], g)
+        inside = pts[stencil.inside]
+        spacing = np.array(geometry.spacing)
+        cell = np.floor((inside - geometry.lower) / spacing)
+        base = np.clip(cell, 0, np.array(geometry.dims) - 2)
+        # the upper face rounds past the domain in the last cell: keep it in
+        bounds = [geometry.lower + base * spacing,
+                  np.minimum(geometry.lower + (base + 1) * spacing, geometry.upper)]
+        g = np.random.default_rng(34).normal(size=(len(inside), 3))
+        expected = np.empty_like(g)
+        for axis in range(3):
+            faces = []
+            for face in bounds:
+                p = inside.copy()
+                p[:, axis] = face[:, axis]
+                faces.append(np.stack([trilinear_oracle(geometry, data, q) for q in p]))
+            width = bounds[1][:, axis] - bounds[0][:, axis]
+            expected[:, axis] = np.sum(g * (faces[1] - faces[0]), axis=1) / width
         assert np.allclose(
             stencil.jacobian_transpose(data, g), expected, rtol=1e-12, atol=1e-12
         )
 
     def test_sample_is_blend_with_zero_outside(self):
-        from flowmesh.flow_field import sample_grid
-
         geometry, data, pts, stencil = self.batch()
         full = stencil.sample(data)
         assert full.shape == pts.shape
