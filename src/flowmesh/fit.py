@@ -304,10 +304,13 @@ def backward(inter: Intermediates) -> np.ndarray:
 
     grad = np.zeros_like(inter.params)
     grad_x = grad_v
-    for stencil in reversed(inter.step_stencils):
+    first, *later = inter.step_stencils
+    for stencil in reversed(later):
         g_in = grad_x[stencil.inside]
         stencil.scatter(grad.reshape(-1, 3), g_in, h)
         grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
+    # the first step's J^T would reach only the frozen start vertices
+    first.scatter(grad.reshape(-1, 3), grad_x[first.inside], h)
 
     grad[_boundary_mask(geometry.dims)] = 0.0
     return grad

@@ -197,11 +197,13 @@ class TrilinearStencil:
     """The 8-node interpolation stencil of a batch of points, from one cell lookup.
 
     Rows are the points inside the closed grid domain, in batch order:
-    ``inside`` holds their indices into the (N, 3) batch, ``flat`` the (n, 8)
-    flat node indices of their cell corners, ``weights`` those corners' (n, 8)
-    trilinear weights and ``local`` the (n, 3) coordinates within the cell.
-    Points outside see a zero field and have no row.  A point on a cell face
-    takes the cell above it, except on the grid's upper faces (the last cell).
+    ``inside`` holds their indices into the (N, 3) batch, ``base`` the flat
+    node index of their cell's lower corner and ``local`` the (n, 3)
+    coordinates within the cell, 40 bytes per row in all.  ``flat``, the (n, 8)
+    flat node indices of the cell corners, and ``weights``, those corners'
+    (n, 8) trilinear weights, are computed from them on each read.  Points
+    outside see a zero field and have no row.  A point on a cell face takes
+    the cell above it, except on the grid's upper faces (the last cell).
 
     ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend`` and
     ``sample`` (all ``count`` points, zero outside) evaluate the interpolant,
@@ -209,7 +211,7 @@ class TrilinearStencil:
     reverse-mode gradients.
     """
 
-    __slots__ = ("geometry", "count", "inside", "flat", "local", "weights")
+    __slots__ = ("geometry", "count", "inside", "base", "local")
 
     def __init__(self, geometry: GridGeometry, points: np.ndarray):
         self.geometry = geometry
@@ -221,11 +223,18 @@ class TrilinearStencil:
         base = np.floor(rel).astype(np.int64)
         np.clip(base, 0, dims - 2, out=base)
         self.local = np.clip(rel - base, 0.0, 1.0)
-        self.weights = _stencil_weights(self.local)
         _, W, D = geometry.dims
-        flat_base = (base[:, 0] * W + base[:, 1]) * D + base[:, 2]
+        self.base = (base[:, 0] * W + base[:, 1]) * D + base[:, 2]
+
+    @property
+    def flat(self) -> np.ndarray:
+        _, W, D = self.geometry.dims
         offsets = (_CORNERS[:, 0] * W + _CORNERS[:, 1]) * D + _CORNERS[:, 2]
-        self.flat = flat_base[:, None] + offsets[None, :]
+        return self.base[:, None] + offsets[None, :]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _stencil_weights(self.local)
 
     def _corners(self, data64: np.ndarray) -> np.ndarray:
         return np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
@@ -261,8 +270,11 @@ class TrilinearStencil:
 
     def scatter(self, out: np.ndarray, grad: np.ndarray, scale: float) -> None:
         """Adjoint of ``blend`` in the node data: adds ``scale * weight * grad``
-        of each row to its 8 corner rows of the (nodes, 3) array ``out``."""
-        scatter_add(out, self.flat, scale * self.weights[:, :, None] * grad[:, None, :])
+        of each row to its 8 corner rows of the (nodes, 3) array ``out``, one
+        column at a time."""
+        flat, sw = self.flat, scale * self.weights
+        for c in range(out.shape[1]):
+            scatter_add(out[:, c], flat, sw * grad[:, c, None])
 
     def jacobian_transpose(self, data64: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Adjoint of ``blend`` in the points: J^T grad per row, shape (n, 3)."""

@@ -112,14 +112,11 @@ def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -
     # The (y, z) columns each triangle's projection can touch.
     corners = mesh.triangle_corners()  # (F, 3, 3)
     ty, tz = corners[:, :, 1], corners[:, :, 2]
-    j0 = np.ceil((ty.min(axis=1) - oy) / cy - 0.5).astype(np.int64)
-    j1 = np.floor((ty.max(axis=1) - oy) / cy - 0.5).astype(np.int64)
-    k0 = np.ceil((tz.min(axis=1) - oz) / cz - 0.5).astype(np.int64)
-    k1 = np.floor((tz.max(axis=1) - oz) / cz - 0.5).astype(np.int64)
-    np.clip(j0, 0, ny - 1, out=j0)
-    np.clip(j1, -1, ny - 1, out=j1)
-    np.clip(k0, 0, nz - 1, out=k0)
-    np.clip(k1, -1, nz - 1, out=k1)
+    # clipped as floats: on tiny cells the indices can pass the int64 range
+    j0 = np.clip(np.ceil((ty.min(axis=1) - oy) / cy - 0.5), 0, ny - 1).astype(np.int64)
+    j1 = np.clip(np.floor((ty.max(axis=1) - oy) / cy - 0.5), -1, ny - 1).astype(np.int64)
+    k0 = np.clip(np.ceil((tz.min(axis=1) - oz) / cz - 0.5), 0, nz - 1).astype(np.int64)
+    k1 = np.clip(np.floor((tz.max(axis=1) - oz) / cz - 0.5), -1, nz - 1).astype(np.int64)
 
     # flips[p, j, k] toggles once per crossing above exactly p of the column's
     # centers.  A column with a grazing row is cleared and goes again.

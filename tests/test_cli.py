@@ -457,12 +457,24 @@ def test_refused_config_exits_1_before_out_dir(tmp_path, sphere_obj, capsys, raw
     assert not out_dir.exists()
 
 
-def test_cli_import_leaves_out_jsonschema():
+def cli_import_output(module):
+    """What a fresh interpreter prints for ``module in sys.modules`` after
+    importing ``flowmesh.cli``."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, flowmesh.cli; print('jsonschema' in sys.modules)"
+    probe = f"import sys, flowmesh.cli; print({module!r} in sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert run.stdout == "False\n"
+    return run.stdout
+
+
+def test_cli_import_leaves_out_jsonschema():
+    assert cli_import_output("jsonschema") == "False\n"
+
+
+def test_cli_import_leaves_out_csgraph():
+    # csgraph is loaded at the first topology report, which fit, deform and
+    # check never make
+    assert cli_import_output("scipy.sparse.csgraph") == "False\n"
 
 
 class TestRefusedInput:

@@ -791,9 +791,30 @@ class TestFitWork:
         # one integration's stencils: 8 steps over every template vertex
         geometry = stage_grid_geometry(template, target, (8, 8, 8), 1.5)
         one = TrilinearStencil(geometry, template.vertices)
-        slots = (one.inside, one.flat, one.local, one.weights)
+        slots = (one.inside, one.base, one.local)
         integration = 8 * sum(a.nbytes for a in slots)
         assert peaks[2] - peaks[1] < integration
+
+    def test_reverse_pass_peak_memory(self):
+        # 10,242 vertices x 8 steps: the stencils keep 40 B per vertex-step and
+        # the reverse pass scatters one column at a time (19.5e6 B at 160 B)
+        template, target = icosphere(5), ellipsoid(4)
+        geometry = stage_grid_geometry(template, target, (12, 12, 12), 1.5)
+        problem = StageProblem(
+            geometry=geometry, steps=8, start_vertices=template.vertices,
+            faces=template.faces, edges=unique_edges(template.faces),
+            target_points=sample_surface(target, 2500, seed=1).points,
+            chamfer_weight=1.0, edge_weight=1.0, sample_count=2500, sample_seed=2,
+        )
+        params = random_interior_params(geometry, seed=3, scale=0.01)
+        tracemalloc.start()
+        try:
+            _, inter = forward_loss(params, problem)
+            assert backward(inter).any()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 def frozen_bound(problem, match, inter):

@@ -360,6 +360,13 @@ class TestTrilinearStencil:
         expected = np.stack([trilinear_oracle(geometry, data, p) for p in pts[contained]])
         assert np.allclose(stencil.blend(data), expected, rtol=1e-12, atol=1e-12)
 
+    def test_keeps_40_bytes_per_row(self):
+        # flat and weights are computed from base and local on each read
+        _, _, _, stencil = self.batch()
+        kept = [getattr(stencil, name) for name in stencil.__slots__]
+        nbytes = sum(a.nbytes for a in kept if isinstance(a, np.ndarray))
+        assert nbytes <= 40 * len(stencil.inside)
+
     def test_scatter_is_adjoint_of_blend(self):
         _, data, _, stencil = self.batch()
         g = np.random.default_rng(33).normal(size=(len(stencil.inside), 3))

@@ -719,6 +719,13 @@ class TestVoxelize:
         assert g1.occupied.shape == (4, 4, 4)
         assert g3.occupied.shape == (12, 12, 12)
 
+    def test_tiny_cells_inside_the_mesh_are_all_occupied(self):
+        # 1e-20 cells put the mesh's column indices past the int64 range
+        geometry = GridGeometry((4, 4, 4), (0.1, 0.2, 0.3), (1e-20, 1e-20, 1e-20))
+        grid = voxelize(icosphere(1), geometry)
+        assert grid.occupied.shape == (3, 3, 3)
+        assert int(grid.occupied.sum()) == 27
+
 
 # The voxelizer as it was before the batched pass (a dict of per-column
 # triangle lists, a per-column jitter loop and a per-triangle edge-function
