@@ -450,7 +450,7 @@ def unit_ball_transform(*vertex_arrays) -> tuple[np.ndarray, float]:
     return center, max(scale, 1e-12)
 
 
-def _rescale_stage(stage: DeformationStage, center: np.ndarray, scale: float) -> DeformationStage:
+def _rescale_stage(index: int, stage: DeformationStage, center, scale: float) -> DeformationStage:
     """Conjugate a stage fitted in normalised space back to original space.
 
     Scaling positions by s and node vectors by s commutes exactly with Euler
@@ -459,7 +459,11 @@ def _rescale_stage(stage: DeformationStage, center: np.ndarray, scale: float) ->
     geom = stage.field.geometry
     origin = tuple(center[a] + scale * geom.origin[a] for a in range(3))
     spacing = tuple(scale * geom.spacing[a] for a in range(3))
-    data = (scale * stage.field.data64).astype(np.float32)
+    with np.errstate(over="ignore"):
+        data = (scale * stage.field.data64).astype(np.float32)
+    if not np.isfinite(data).all():
+        raise ValueError(f"stage {index}: coordinate scale {scale:g} takes node vectors "
+                         f"past DFF1's float32 range (|v| <= {np.finfo(np.float32).max:g})")
     return DeformationStage(FlowField(GridGeometry(geom.dims, origin, spacing), data), stage.steps)
 
 
@@ -490,7 +494,7 @@ def fit_pipeline(
         traces.append(tuple(trace))
 
     chain = DeformationChain(
-        tuple(_rescale_stage(s, center, scale) for s in stages_norm)
+        tuple(_rescale_stage(i, s, center, scale) for i, s in enumerate(stages_norm))
     )
     final_template = template
     for _ in range(levels[-1]):

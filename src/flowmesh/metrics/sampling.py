@@ -33,6 +33,7 @@ def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _draw_from_areas refuses them
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(_face_cross(vertices, faces), axis=1)
 
@@ -64,6 +65,8 @@ def _draw_from_areas(areas: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, 
     total = areas.sum()
     if len(areas) == 0 or total <= 0.0:
         raise ValueError("mesh has no face with positive area")
+    if not np.isfinite(total):
+        raise ValueError(f"surface area is {total}: the mesh coordinates are too large")
     rng = np.random.default_rng(seed)
     face_idx = rng.choice(len(areas), size=n, p=areas / total)
     u = rng.random(n)

@@ -533,6 +533,36 @@ class TestRefusedInput:
         assert f"error: {cells} supersampled voxel cells exceed 134217728 (512**3)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, area", [(1e80, "inf"), (1e160, "nan")])
+    def test_metrics_huge_coordinates_exit_1(self, tmp_path, capsys, scale, area):
+        # the areas overflow (in the norm at 1e80, in the cross product at 1e160)
+        mesh, out = tmp_path / "huge.obj", tmp_path / "r.json"
+        base = icosphere(2)
+        store_obj(base.with_vertices(base.vertices * scale), mesh)
+        code = main(["metrics", "--pred", str(mesh), "--gt", str(mesh),
+                     "--samples", "1000", "--out", str(out)])
+        assert code == 1
+        assert f"error: surface area is {area}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_huge_coordinates_exit_1(self, tmp_path, capsys):
+        # the fit runs in the unit ball; only its output overflows float32
+        scale = 1e80
+        template, target = tmp_path / "template.obj", tmp_path / "target.obj"
+        store_obj(icosphere(1).with_vertices(icosphere(1).vertices * scale), template)
+        base = icosphere(2)
+        store_obj(base.with_vertices(base.vertices * np.array([1.0, 0.8, 0.65]) * scale), target)
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"stages": [{"grid_dims": [6, 6, 6], "steps": 4,
+                                                  "iterations": 3, "step_size": 0.3}],
+                                      "sample_count": 300}))
+        out_dir = tmp_path / "run"
+        code = main(["fit", "--template", str(template), "--target", str(target),
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert ("error: stage 0: coordinate scale 1e+80 takes node vectors past DFF1's "
+                "float32 range (|v| <= 3.40282e+38)") in capsys.readouterr().err
+
 
 def test_subdivision_guard_boundary():
     from flowmesh.cli import _MAX_SUBDIVIDED_FACES, _subdivision_fits

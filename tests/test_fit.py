@@ -260,8 +260,9 @@ def reference_backward(inter):
 
 
 class TestBackwardReference:
-    """``backward`` reuses the forward stencils and scatters with
-    ``scatter_add``; its gradient must equal the reference bitwise."""
+    """``backward`` reuses the forward stencils and scatters one column at a
+    time; its gradient must equal the reference's whole-row ``np.add.at``
+    scatters bitwise."""
 
     @staticmethod
     def problem(steps, edge_weight):

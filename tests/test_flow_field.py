@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,40 +449,64 @@ class TestTrilinearStencil:
 
 
 class TestScatterAdd:
-    """``scatter_add`` must equal ``np.add.at`` byte for byte: it relies on
-    ``np.bincount`` adding its weights in input order."""
+    """``scatter_add`` and ``TrilinearStencil.scatter`` must equal ``np.add.at``
+    on the whole array byte for byte, although they add one column at a time."""
 
     @staticmethod
     def spread(rng, shape):
         # signed magnitudes over 16 decades, so any reordering of a sum shows
         return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
 
-    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("columns", [1, 3])
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_add_at(self, columns, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        shape = (n,) if columns is None else (n, columns)
-        out = self.spread(rng, shape)
-        index = rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))  # repeats
-        values = self.spread(rng, index.shape + shape[1:])
+        out = self.spread(rng, (n, columns))
+        index = rng.integers(0, n, size=int(rng.integers(0, 120)))  # repeats
+        values = self.spread(rng, (len(index), columns))
         expected = out.copy()
         np.add.at(expected, index, values)
         scatter_add(out, index, values)
         assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
-    def test_empty_index_keeps_out(self, shape):
-        out = self.spread(np.random.default_rng(1), shape)
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_empty_index_keeps_out(self, columns):
+        out = self.spread(np.random.default_rng(1), (5, columns))
         before = out.tobytes()
-        scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0,) + shape[1:]))
+        scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0, columns)))
         assert out.tobytes() == before
 
-    def test_untouched_negative_zero_becomes_positive(self):
-        # the one documented difference from np.add.at: sums start from +0.0
-        out = np.array([-0.0, -0.0, 2.0, -0.0])
-        expected = out.copy()
-        np.add.at(expected, [1, 3], [-0.0, 1.5])
-        scatter_add(out, np.array([1, 3]), np.array([-0.0, 1.5]))
-        assert expected.tobytes() == np.array([-0.0, -0.0, 2.0, 1.5]).tobytes()
-        assert out.tobytes() == np.array([0.0, 0.0, 2.0, 1.5]).tobytes()
+    def test_untouched_negative_zero_survives(self):
+        out = np.full((4, 3), -0.0)
+        out[2] = 2.0
+        scatter_add(out, np.array([1, 3]), np.array([[-0.0] * 3, [1.5] * 3]))
+        expected = np.array([[-0.0] * 3, [-0.0] * 3, [2.0] * 3, [1.5] * 3])
+        assert out.tobytes() == expected.tobytes()
+
+        geometry = GridGeometry((4, 4, 4), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        stencil = TrilinearStencil(geometry, np.array([[0.5, 1.25, 2.0]]))
+        nodes = np.full((64, 3), -0.0)
+        grad = np.array([[1.0, -2.0, 0.5]])
+        stencil.scatter(nodes, grad, 0.25)
+        expected = np.full((64, 3), -0.0)
+        np.add.at(expected, stencil.flat, 0.25 * stencil.weights[:, :, None] * grad[:, None, :])
+        assert nodes.tobytes() == expected.tobytes()
+        untouched = np.setdiff1d(np.arange(64), stencil.flat)
+        assert np.signbit(nodes[untouched]).all()
+
+    def test_stencil_scatter_memory_does_not_grow_with_the_grid(self):
+        # the adds touch only the rows' corner nodes, not all 128^3 of them
+        geometry = GridGeometry((128, 128, 128), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        points = np.random.default_rng(3).uniform(1.0, 126.0, size=(100, 3))
+        stencil = TrilinearStencil(geometry, points)
+        out = np.zeros((128**3, 3))
+        grad = np.ones((100, 3))
+        tracemalloc.start()
+        try:
+            stencil.scatter(out, grad, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert out.sum() == pytest.approx(0.5 * 100 * 3)
