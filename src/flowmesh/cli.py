@@ -135,17 +135,15 @@ def cmd_metrics(args) -> int:
     dice_value = None
     vs_value = None
     if args.voxel_dims is not None:
-        if args.voxel_origin is not None:
-            origin = tuple(args.voxel_origin)
-        else:
-            pts = np.vstack([pred.vertices, gt.vertices])
-            center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-            dims = np.array(args.voxel_dims, dtype=np.float64)
-            spacing = np.array(args.voxel_spacing, dtype=np.float64)
-            origin = tuple(center - 0.5 * spacing * (dims - 1))
-        geometry = GridGeometry(
-            tuple(args.voxel_dims), origin, tuple(args.voxel_spacing)
-        )
+        origin = args.voxel_origin
+        try:
+            if origin is None:  # centred on both meshes
+                pts = np.vstack([pred.vertices, gt.vertices])
+                extent = GridGeometry(args.voxel_dims, (0, 0, 0), args.voxel_spacing).upper
+                origin = 0.5 * (pts.min(axis=0) + pts.max(axis=0)) - 0.5 * extent
+            geometry = GridGeometry(args.voxel_dims, origin, args.voxel_spacing)
+        except ValueError as exc:
+            raise ValueError(f"voxel grid: {exc}") from exc
         occ_pred = voxelize(pred, geometry, args.voxel_supersample)
         occ_gt = voxelize(gt, geometry, args.voxel_supersample)
         dice_value = dice_score(occ_pred, occ_gt)

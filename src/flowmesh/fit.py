@@ -445,8 +445,11 @@ class FitResult:
 def unit_ball_transform(*vertex_arrays) -> tuple[np.ndarray, float]:
     """Center and scale mapping all given vertices into the unit ball."""
     pts = np.vstack(vertex_arrays)
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    scale = float(np.linalg.norm(pts - center, axis=1).max())
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        scale = float(np.linalg.norm(pts - center, axis=1).max())
+    if not math.isfinite(scale):
+        raise ValueError(f"coordinate scale {np.abs(pts).max():g} is too large to normalise")
     return center, max(scale, 1e-12)
 
 

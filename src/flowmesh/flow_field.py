@@ -54,13 +54,13 @@ class GridGeometry:
             raise ValueError("dims, origin and spacing must each have 3 entries")
         if any(n < 2 for n in dims):
             raise ValueError(f"need at least 2 nodes per axis, got dims={dims}")
-        if any(not math.isfinite(v) for v in origin + spacing):
-            raise ValueError("origin and spacing must be finite")
-        if any(d <= 0.0 for d in spacing):
-            raise ValueError(f"spacing must be strictly positive, got {spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
+        if not np.isfinite(self.upper).all():  # also when origin or spacing is not finite
+            raise ValueError(f"origin, spacing and far corner {self.upper.tolist()} must be finite")
+        if any(d <= 0.0 for d in spacing):
+            raise ValueError(f"spacing must be strictly positive, got {spacing}")
 
     @property
     def lower(self) -> np.ndarray:
@@ -68,9 +68,8 @@ class GridGeometry:
 
     @property
     def upper(self) -> np.ndarray:
-        d = np.array(self.spacing, dtype=np.float64)
-        n = np.array(self.dims, dtype=np.float64)
-        return self.lower + d * (n - 1.0)
+        """The far corner, in Python floats: an overflow gives inf without a warning."""
+        return np.array([o + d * (n - 1) for o, d, n in zip(self.origin, self.spacing, self.dims)])
 
     def contains(self, points) -> np.ndarray:
         pts = _as_point_array(points)
@@ -157,7 +156,6 @@ def _boundary_mask(dims: tuple[int, int, int]) -> np.ndarray:
 _CORNERS = np.array(
     [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)], dtype=np.int64
 )
-_DU = np.array([-1.0, 1.0])  # d/dt of the axis factors (1 - t, t)
 
 
 def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -168,21 +166,14 @@ def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
         np.add.at(out[:, c], index, values[:, c])
 
 
-def _stencil_weights(local: np.ndarray) -> np.ndarray:
-    """Trilinear weights, shape (N, 8), matching the _CORNERS order."""
-    tx, ty, tz = local[:, 0], local[:, 1], local[:, 2]
-    mx, my, mz = 1.0 - tx, 1.0 - ty, 1.0 - tz
-    yz00, yz01, yz10, yz11 = my * mz, my * tz, ty * mz, ty * tz
-    w = np.empty((local.shape[0], 8), dtype=np.float64)
-    w[:, 0] = mx * yz00
-    w[:, 1] = mx * yz01
-    w[:, 2] = mx * yz10
-    w[:, 3] = mx * yz11
-    w[:, 4] = tx * yz00
-    w[:, 5] = tx * yz01
-    w[:, 6] = tx * yz10
-    w[:, 7] = tx * yz11
-    return w
+def _corner_products(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """The (n, 8) products ``fx[a] * (fy[b] * fz[c])`` in _CORNERS order, from (2, n)
+    factor pairs; a broadcast into an array numpy allocates itself ran 3x slower."""
+    n = fx.shape[1]
+    out = np.empty((n, 8))
+    yz = np.multiply(fy[:, None], fz, out=np.empty((2, 2, n)))
+    np.multiply(fx[:, None, None], yz, out=out.T.reshape(2, 2, 2, n))
+    return out
 
 
 class TrilinearStencil:
@@ -226,25 +217,25 @@ class TrilinearStencil:
 
     @property
     def weights(self) -> np.ndarray:
-        return _stencil_weights(self.local)
+        return _corner_products(*self._axis_factors())
+
+    def _axis_factors(self) -> np.ndarray:
+        """The (1 - t, t) factor pair of each axis, shape (3, 2, n)."""
+        factors = np.empty((3, 2, len(self.local)))
+        factors[:, 1] = self.local.T
+        np.subtract(1.0, factors[:, 1], out=factors[:, 0])
+        return factors
 
     def _corners(self, data64: np.ndarray) -> np.ndarray:
         return np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
 
     def _weight_gradients(self) -> np.ndarray:
-        """d(weight)/d(world position) for the 8 corners, shape (n, 8, 3)."""
-        n = len(self.local)
-        spacing = self.geometry.spacing
-        # axis factors (1 - t, t) and their derivatives as (2, 1, 1, n),
-        # (1, 2, 1, n) and (1, 1, 2, n): the broadcast products list the
-        # corners in _CORNERS order
-        f = np.stack([1.0 - self.local.T, self.local.T])  # (2, 3, n)
-        fx, fy, fz = f[:, 0, None, None], f[None, :, 1, None], f[None, None, :, 2]
-        dx, dy, dz = _DU[:, None, None, None], _DU[:, None, None], _DU[:, None]
-        grads = np.empty((n, 8, 3), dtype=np.float64)
-        grads[:, :, 0] = (dx * fy * fz / spacing[0]).reshape(8, n).T
-        grads[:, :, 1] = (fx * dy * fz / spacing[1]).reshape(8, n).T
-        grads[:, :, 2] = (fx * fy * dz / spacing[2]).reshape(8, n).T
+        """d(weight)/d(world position), (n, 8, 3): axis a's pair becomes (-1, 1)."""
+        f, n = self._axis_factors(), len(self.local)
+        du = np.array([[-1.0], [1.0]]).repeat(n, axis=1)  # d/dt of the pair (1 - t, t)
+        grads = np.empty((n, 8, 3))
+        for a, d in enumerate(self.geometry.spacing):
+            np.divide(_corner_products(*f[:a], du, *f[a + 1:]), d, out=grads[:, :, a])
         return grads
 
     def blend(self, data64: np.ndarray) -> np.ndarray:
@@ -295,17 +286,19 @@ def stability_estimate(field: FlowField) -> StabilityEstimate:
 
 
 def stability_from_grid(geometry: GridGeometry, data64: np.ndarray) -> StabilityEstimate:
-    """stability_estimate on a raw float64 node array (see that docstring)."""
+    """stability_estimate on a raw float64 node array (see that docstring); one sqrt
+    per maximum is exact, as sqrt is monotone and correctly rounded."""
     data = np.asarray(data64, dtype=np.float64)
     spacing = geometry.spacing
     per_axis = []
     # huge node values overflow to inf, and L_safe = inf fails the strict gate
     with np.errstate(over="ignore"):
+        node_sq = _squared_norms(data)
         for axis in range(3):
-            diff = np.diff(data, axis=axis, append=0.0)  # last index: -U[-1], same norm
-            norms = np.sqrt((diff * diff).sum(axis=-1))
-            per_axis.append(float(norms.max()) / spacing[axis])
-        max_speed = float(np.sqrt((data * data).sum(axis=-1)).max())
+            last = np.take(node_sq, -1, axis=axis).max()  # the norm of 0 - U[-1]
+            peak = np.maximum(_squared_norms(np.diff(data, axis=axis)).max(), last)
+            per_axis.append(math.sqrt(peak) / spacing[axis])
+        max_speed = math.sqrt(node_sq.max())
     lipschitz = max(per_axis)
     return StabilityEstimate(
         per_axis_lipschitz=(per_axis[0], per_axis[1], per_axis[2]),
@@ -313,6 +306,11 @@ def stability_from_grid(geometry: GridGeometry, data64: np.ndarray) -> Stability
         max_speed=max_speed,
         lipschitz_safe=_SQRT3 * lipschitz,
     )
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """``(v * v).sum(axis=-1)`` in its order, without the full-size product."""
+    return (v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]) + v[..., 2] * v[..., 2]
 
 
 def enforce_zero_boundary(field: FlowField) -> FlowField:

@@ -112,11 +112,11 @@ def voxelize(mesh: TriangleMesh, geometry: GridGeometry, supersample: int = 1) -
     # The (y, z) columns each triangle's projection can touch.
     corners = mesh.triangle_corners()  # (F, 3, 3)
     ty, tz = corners[:, :, 1], corners[:, :, 2]
-    # clipped as floats: on tiny cells the indices can pass the int64 range
-    j0 = np.clip(np.ceil((ty.min(axis=1) - oy) / cy - 0.5), 0, ny - 1).astype(np.int64)
-    j1 = np.clip(np.floor((ty.max(axis=1) - oy) / cy - 0.5), -1, ny - 1).astype(np.int64)
-    k0 = np.clip(np.ceil((tz.min(axis=1) - oz) / cz - 0.5), 0, nz - 1).astype(np.int64)
-    k1 = np.clip(np.floor((tz.max(axis=1) - oz) / cz - 0.5), -1, nz - 1).astype(np.int64)
+    with np.errstate(over="ignore"):  # clipped as floats: tiny cells pass int64, even to inf
+        j0 = np.clip(np.ceil((ty.min(axis=1) - oy) / cy - 0.5), 0, ny - 1).astype(np.int64)
+        j1 = np.clip(np.floor((ty.max(axis=1) - oy) / cy - 0.5), -1, ny - 1).astype(np.int64)
+        k0 = np.clip(np.ceil((tz.min(axis=1) - oz) / cz - 0.5), 0, nz - 1).astype(np.int64)
+        k1 = np.clip(np.floor((tz.max(axis=1) - oz) / cz - 0.5), -1, nz - 1).astype(np.int64)
 
     # flips[p, j, k] toggles once per crossing above exactly p of the column's
     # centers.  A column with a grazing row is cleared and goes again.

@@ -545,9 +545,14 @@ class TestRefusedInput:
         assert f"error: surface area is {area}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fit_huge_coordinates_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale, message", [
         # the fit runs in the unit ball; only its output overflows float32
-        scale = 1e80
+        (1e80, "error: stage 0: coordinate scale 1e+80 takes node vectors past DFF1's "
+               "float32 range (|v| <= 3.40282e+38)"),
+        # the squared distances from the center overflow float64
+        (1e160, "error: coordinate scale 1e+160 is too large to normalise"),
+    ], ids=["1e80", "1e160"])
+    def test_fit_huge_coordinates_exit_1(self, tmp_path, capsys, scale, message):
         template, target = tmp_path / "template.obj", tmp_path / "target.obj"
         store_obj(icosphere(1).with_vertices(icosphere(1).vertices * scale), template)
         base = icosphere(2)
@@ -560,8 +565,31 @@ class TestRefusedInput:
         code = main(["fit", "--template", str(template), "--target", str(target),
                      "--config", str(config), "--out-dir", str(out_dir)])
         assert code == 1
-        assert ("error: stage 0: coordinate scale 1e+80 takes node vectors past DFF1's "
-                "float32 range (|v| <= 3.40282e+38)") in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("origin", [["--voxel-origin", "0", "0", "0"], []],
+                             ids=["given-origin", "default-origin"])
+    def test_metrics_voxel_far_corner_overflow_exit_1(self, tmp_path, sphere_obj, capsys,
+                                                      origin):
+        # without --voxel-origin, the extent that centres the grid on the meshes overflows
+        out = tmp_path / "r.json"
+        code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                     "--samples", "100", "--voxel-dims", "5", "5", "5",
+                     "--voxel-spacing", "1e308", "1e308", "1e308", *origin, "--out", str(out)])
+        assert code == 1
+        assert "error: voxel grid: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_subnormal_voxel_spacing_exit_3(self, tmp_path, sphere_obj, capsys):
+        # the column bounds overflow to inf and clip; every +x ray through
+        # these cells grazes the vertex at (1, 0, 0)
+        out = tmp_path / "r.json"
+        code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                     "--samples", "100", "--voxel-dims", "5", "5", "5",
+                     "--voxel-spacing", "1e-310", "1e-310", "1e-310", "--out", str(out)])
+        assert code == 3
+        assert "stayed degenerate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_subdivision_guard_boundary():

@@ -34,7 +34,7 @@ from flowmesh.fit import (
     stage_grid_geometry,
     unit_ball_transform,
 )
-from flowmesh.flow_field import TrilinearStencil, _boundary_mask, _stencil_weights
+from flowmesh.flow_field import TrilinearStencil, _boundary_mask
 from flowmesh.mesh import unique_edges
 from flowmesh.metrics import chamfer, distances, edge_loss, match_clouds, sample_surface
 from flowmesh.metrics.distances import CloudMatch, mean_squared_edge_length
@@ -250,7 +250,10 @@ def reference_backward(inter):
     for x in reversed(step_points):
         stencil = TrilinearStencil(geometry, x)
         g_in = grad_x[stencil.inside]
-        weights = _stencil_weights(stencil.local)
+        t = stencil.local  # per-corner weights, written out rather than taken from the stencil
+        m = 1.0 - t
+        yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
+        weights = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
         np.add.at(
             grad.reshape(-1, 3), stencil.flat, h * weights[:, :, None] * g_in[:, None, :]
         )

@@ -22,6 +22,7 @@ from flowmesh.flow_field import (
     _boundary_mask,
     sample_grid,
     scatter_add,
+    stability_from_grid,
 )
 
 from conftest import make_gated_field, stability_oracle, trilinear_oracle
@@ -47,6 +48,19 @@ class TestGridGeometry:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError, match="strictly positive"):
             GridGeometry((4, 4, 4), (0, 0, 0), (1, 0, 1))
+
+    @pytest.mark.parametrize("dims, origin, spacing", [
+        ((5, 5, 5), (0, 0, 0), (1e308, 1e308, 1e308)),
+        ((2, 2, 2), (0, 1.5e308, 0), (1, 1e308, 1)),
+    ], ids=["spacing", "origin-plus-spacing"])
+    def test_rejects_overflowing_far_corner(self, dims, origin, spacing):
+        with pytest.raises(ValueError, match="far corner"):
+            GridGeometry(dims, origin, spacing)
+
+    def test_accepts_huge_finite_grids(self):
+        g = GridGeometry((5, 2, 2), (0, 0, -1.5e308), (4e307, 1, 1e308))
+        assert np.isfinite(g.upper).all()
+        assert g.upper.tolist() == [1.6e308, 1.0, -0.5e308]
 
     def test_domain_bounds(self):
         g = GridGeometry((3, 5, 2), (1, -1, 0), (0.5, 0.25, 2.0))
@@ -150,19 +164,48 @@ class TestStability:
             assert scaled.lipschitz == pytest.approx(est.lipschitz / s, rel=1e-14)
             assert scaled.max_speed == est.max_speed
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_enumeration_oracle_exactly(self, seed):
+    @pytest.mark.parametrize("seed, peak_axis", [
+        *(pytest.param(s, None, id=str(s)) for s in range(3)),
+        *(pytest.param(3 + a, a, id=f"last-slab-{a}") for a in range(3)),
+    ])
+    def test_matches_enumeration_oracle_exactly(self, seed, peak_axis):
         rng = np.random.default_rng(seed)
         dims = tuple(rng.integers(4, 8, size=3))
         spacing = tuple(rng.uniform(0.3, 2.0, size=3))
         geometry = GridGeometry(dims, (0, 0, 0), spacing)
         data = rng.normal(size=dims + (3,)).astype(np.float32)
+        if peak_axis is not None:
+            # U = u / 2 and then u at the axis's last two nodes: the largest
+            # difference, |0 - u| = 1300, sits in its last slab
+            node = [n // 2 for n in dims]
+            for index, share in ((-2, 0.5), (-1, 1.0)):
+                node[peak_axis] = dims[peak_axis] + index
+                data[tuple(node)] = share * np.array([300.0, -400.0, 1200.0])
         field = FlowField(geometry, data)
         est = stability_estimate(field)
         per_axis, lipschitz, max_speed = stability_oracle(geometry, field.data64)
+        if peak_axis is not None:
+            assert per_axis[peak_axis] == 1300.0 / spacing[peak_axis]
         assert est.per_axis_lipschitz == tuple(per_axis)
         assert est.lipschitz == lipschitz
         assert est.max_speed == max_speed
+
+    def test_peak_memory_stays_under_2_5_node_arrays(self):
+        # one np.diff and the squared norms at a time, no full-size products
+        dims = (64, 64, 64)
+        geometry = GridGeometry(dims, (0, 0, 0), (1, 1, 1))
+        data = np.random.default_rng(41).normal(size=dims + (3,))
+        tracemalloc.start()
+        try:
+            est = stability_from_grid(geometry, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * data.nbytes
+        full = [np.diff(data, axis=axis, append=0.0) for axis in range(3)]  # the full copies
+        assert est.per_axis_lipschitz == tuple(
+            float(np.sqrt((d * d).sum(axis=-1)).max()) for d in full
+        )
 
     def test_lipschitz_properties(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (2, 2, 2), seed=8, steps=4)
@@ -299,6 +342,16 @@ class TestDff1:
             load_flow(path)
         assert err.value.code == "bad_header"
 
+    def test_bad_header_far_corner(self, tmp_path):
+        import struct
+
+        path = tmp_path / "corner.dff1"
+        header = struct.pack("<4s3I3d3d", DFF1_MAGIC, 5, 5, 5, 0, 0, 0, 1e308, 1, 1)
+        path.write_bytes(header + bytes(4 * 5 * 5 * 5 * 3))
+        with pytest.raises(FlowFormatError, match="far corner") as err:
+            load_flow(path)
+        assert err.value.code == "bad_header"
+
     def test_non_finite_payload(self, tmp_path):
         field = make_gated_field((3, 3, 3), (0, 0, 0), (1, 1, 1), seed=14, steps=4)
         path = tmp_path / "nan.dff1"
@@ -418,21 +471,18 @@ class TestTrilinearStencil:
         """The weights, the gather, the scatter and the weight gradients are
         bitwise equal to the per-corner, fancy-index, ``np.add.at`` and loop
         formulas."""
-        from flowmesh.flow_field import _stencil_weights
-
         geometry, data, _, stencil = self.batch()
         t = stencil.local
         m = 1.0 - t
         yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
-        expected = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
-        assert _stencil_weights(t).tobytes() == expected.tobytes()
+        weights = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
+        assert stencil.weights.tobytes() == weights.tobytes()
         assert stencil._corners(data).tobytes() == data.reshape(-1, 3)[stencil.flat].tobytes()
 
         g = np.random.default_rng(35).normal(size=(len(stencil.inside), 3))
         out = np.zeros((data.size // 3, 3))
         stencil.scatter(out, g, 0.125)
         expected = np.zeros_like(out)
-        weights = _stencil_weights(stencil.local)
         np.add.at(expected, stencil.flat, 0.125 * weights[:, :, None] * g[:, None, :])
         assert out.tobytes() == expected.tobytes()
 
