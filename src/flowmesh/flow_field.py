@@ -156,6 +156,7 @@ def _boundary_mask(dims: tuple[int, int, int]) -> np.ndarray:
 _CORNERS = np.array(
     [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)], dtype=np.int64
 )
+_DU = np.array([-1.0, 1.0])  # d/dt of the axis factors (1 - t, t)
 
 
 def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -232,7 +233,7 @@ class TrilinearStencil:
     def _weight_gradients(self) -> np.ndarray:
         """d(weight)/d(world position), (n, 8, 3): axis a's pair becomes (-1, 1)."""
         f, n = self._axis_factors(), len(self.local)
-        du = np.array([[-1.0], [1.0]]).repeat(n, axis=1)  # d/dt of the pair (1 - t, t)
+        du = np.broadcast_to(_DU[:, None], (2, n))
         grads = np.empty((n, 8, 3))
         for a, d in enumerate(self.geometry.spacing):
             np.divide(_corner_products(*f[:a], du, *f[a + 1:]), d, out=grads[:, :, a])
@@ -286,19 +287,17 @@ def stability_estimate(field: FlowField) -> StabilityEstimate:
 
 
 def stability_from_grid(geometry: GridGeometry, data64: np.ndarray) -> StabilityEstimate:
-    """stability_estimate on a raw float64 node array (see that docstring); one sqrt
-    per maximum is exact, as sqrt is monotone and correctly rounded."""
+    """stability_estimate on a raw float64 node array (see that docstring)."""
     data = np.asarray(data64, dtype=np.float64)
     spacing = geometry.spacing
     per_axis = []
     # huge node values overflow to inf, and L_safe = inf fails the strict gate
     with np.errstate(over="ignore"):
-        node_sq = _squared_norms(data)
         for axis in range(3):
-            last = np.take(node_sq, -1, axis=axis).max()  # the norm of 0 - U[-1]
-            peak = np.maximum(_squared_norms(np.diff(data, axis=axis)).max(), last)
-            per_axis.append(math.sqrt(peak) / spacing[axis])
-        max_speed = math.sqrt(node_sq.max())
+            diff = np.diff(data, axis=axis, append=0.0)  # last index: -U[-1], same norm
+            norms = np.sqrt((diff * diff).sum(axis=-1))
+            per_axis.append(float(norms.max()) / spacing[axis])
+        max_speed = float(np.sqrt((data * data).sum(axis=-1)).max())
     lipschitz = max(per_axis)
     return StabilityEstimate(
         per_axis_lipschitz=(per_axis[0], per_axis[1], per_axis[2]),
@@ -306,11 +305,6 @@ def stability_from_grid(geometry: GridGeometry, data64: np.ndarray) -> Stability
         max_speed=max_speed,
         lipschitz_safe=_SQRT3 * lipschitz,
     )
-
-
-def _squared_norms(v: np.ndarray) -> np.ndarray:
-    """``(v * v).sum(axis=-1)`` in its order, without the full-size product."""
-    return (v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]) + v[..., 2] * v[..., 2]
 
 
 def enforce_zero_boundary(field: FlowField) -> FlowField:

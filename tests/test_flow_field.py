@@ -22,7 +22,6 @@ from flowmesh.flow_field import (
     _boundary_mask,
     sample_grid,
     scatter_add,
-    stability_from_grid,
 )
 
 from conftest import make_gated_field, stability_oracle, trilinear_oracle
@@ -189,23 +188,6 @@ class TestStability:
         assert est.per_axis_lipschitz == tuple(per_axis)
         assert est.lipschitz == lipschitz
         assert est.max_speed == max_speed
-
-    def test_peak_memory_stays_under_2_5_node_arrays(self):
-        # one np.diff and the squared norms at a time, no full-size products
-        dims = (64, 64, 64)
-        geometry = GridGeometry(dims, (0, 0, 0), (1, 1, 1))
-        data = np.random.default_rng(41).normal(size=dims + (3,))
-        tracemalloc.start()
-        try:
-            est = stability_from_grid(geometry, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * data.nbytes
-        full = [np.diff(data, axis=axis, append=0.0) for axis in range(3)]  # the full copies
-        assert est.per_axis_lipschitz == tuple(
-            float(np.sqrt((d * d).sum(axis=-1)).max()) for d in full
-        )
 
     def test_lipschitz_properties(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (2, 2, 2), seed=8, steps=4)
