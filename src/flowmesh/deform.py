@@ -202,6 +202,8 @@ def invert_step(
     ys = _finite_point_array(y)
     x = ys.copy()
     result = np.empty_like(ys)
+    if len(ys) == 0:
+        return result
     active = np.arange(len(ys))
     stop = np.maximum(_TOL, 4 * np.finfo(np.float64).eps * np.abs(ys).max(axis=1))
     geometry, data64 = field.geometry, field.data64

@@ -1,74 +1,86 @@
 """Self-intersecting face census via exact triangle-triangle tests.
 
-Orientation predicates are evaluated in floating point with a conservative
-error filter; ambiguous signs fall back to exact rational arithmetic
-(binary floats convert to Fractions losslessly), so there are no false
-positives or negatives near coplanar or touching configurations.  The broad
-phase bins face bounding boxes into a uniform grid of cells no smaller than
-an ordinary face's box, and tests each cell against itself and its forward
-neighbours in fixed-size vectorised chunks; the few outsized faces are
-tested against every face.  Each chunk of candidate pairs, in no particular
-order, drops the pairs of two flagged faces, then goes through a vectorised
-plane-side prefilter and the exact test; no pair list is ever kept.
+Each orientation predicate is one polynomial, evaluated in floating point
+under a conservative error filter (relative to its permanent, plus an
+allowance for products that underflow).  A sign the filter cannot certify is
+recomputed on exact integers: every finite float is n / 2**k, and scaling all
+coordinates by the largest 2**k keeps the sign of these homogeneous
+polynomials.  Coplanar pairs need no routine of their own: an edge in the
+other triangle's plane is tested in 2D.  So there are no false positives or
+negatives near coplanar or touching configurations, except that two
+zero-area triangles are never found to meet.  The broad phase bins face
+bounding boxes into a uniform grid of cells no smaller than an ordinary
+face's box, and tests each cell against itself and its forward neighbours in
+fixed-size vectorised chunks; the few outsized faces are tested against
+every face.  Each chunk of candidate pairs, in no particular order, drops
+the pairs of two flagged faces, then goes through a vectorised plane-side
+prefilter and the exact test; no pair list is ever kept.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from ..mesh import TriangleMesh
 
 # Conservative relative filter bounds; anything smaller in magnitude than
-# bound * permanent is re-evaluated exactly.  (The theoretically tight
-# coefficients are ~8e-16 for orient3d and ~3.4e-16 for orient2d.)
+# bound * permanent (plus the underflow allowance) is re-evaluated exactly.
+# (The theoretically tight coefficients are ~8e-16 for orient3d and
+# ~3.4e-16 for orient2d.)
 _O3D_FILTER = 1e-14
 _O2D_FILTER = 1e-14
 
+# A product that underflows is off by at most 2**-1075, which no relative
+# bound covers; this allowance covers a few of them, with margin.
+_UNDERFLOW = 2.0**-1072
 
-def orient3d(a, b, c, d) -> int:
-    """Sign of det[a-d; b-d; c-d]: which side of plane (a,b,c) holds d."""
+
+def _on_integers(*points):
+    """The points' coordinates as integers, each times the smallest power of
+    two that makes all of them integral."""
+    ratios = [[c.as_integer_ratio() for c in p] for p in points]
+    scale = max(den for p in ratios for _, den in p)
+    return [[num * (scale // den) for num, den in p] for p in ratios]
+
+
+def _orient3d_terms(a, b, c, d):
+    """det[a-d; b-d; c-d], its permanent and |a-d|_1, in the inputs' arithmetic."""
     adx, ady, adz = a[0] - d[0], a[1] - d[1], a[2] - d[2]
     bdx, bdy, bdz = b[0] - d[0], b[1] - d[1], b[2] - d[2]
     cdx, cdy, cdz = c[0] - d[0], c[1] - d[1], c[2] - d[2]
     m1, m2, m3 = bdy * cdz, bdz * cdy, bdz * cdx
     m4, m5, m6 = bdx * cdz, bdx * cdy, bdy * cdx
     det = adx * (m1 - m2) + ady * (m3 - m4) + adz * (m5 - m6)
-    permanent = (
-        abs(adx) * (abs(m1) + abs(m2))
-        + abs(ady) * (abs(m3) + abs(m4))
-        + abs(adz) * (abs(m5) + abs(m6))
-    )
-    if abs(det) > _O3D_FILTER * permanent:
+    ax, ay, az = abs(adx), abs(ady), abs(adz)
+    permanent = ax * (abs(m1) + abs(m2)) + ay * (abs(m3) + abs(m4)) + az * (abs(m5) + abs(m6))
+    return det, permanent, ax + ay + az
+
+
+def orient3d(a, b, c, d) -> int:
+    """Sign of det[a-d; b-d; c-d]: which side of plane (a,b,c) holds d."""
+    det, permanent, spread = _orient3d_terms(a, b, c, d)
+    # an underflowed minor's error is scaled by at most |a-d|_1
+    if abs(det) > _O3D_FILTER * permanent + _UNDERFLOW * (spread + 1.0):
         return 1 if det > 0 else -1
-    return _orient3d_exact(a, b, c, d)
-
-
-def _orient3d_exact(a, b, c, d) -> int:
-    F = Fraction
-    adx, ady, adz = F(a[0]) - F(d[0]), F(a[1]) - F(d[1]), F(a[2]) - F(d[2])
-    bdx, bdy, bdz = F(b[0]) - F(d[0]), F(b[1]) - F(d[1]), F(b[2]) - F(d[2])
-    cdx, cdy, cdz = F(c[0]) - F(d[0]), F(c[1]) - F(d[1]), F(c[2]) - F(d[2])
-    det = (
-        adx * (bdy * cdz - bdz * cdy)
-        + ady * (bdz * cdx - bdx * cdz)
-        + adz * (bdx * cdy - bdy * cdx)
-    )
+    det = _orient3d_terms(*_on_integers(a, b, c, d))[0]
     return (det > 0) - (det < 0)
+
+
+def _orient2d_terms(a, b, c):
+    """Twice the signed area of (a, b, c) and its permanent, in the inputs' arithmetic."""
+    left = (a[0] - c[0]) * (b[1] - c[1])
+    right = (a[1] - c[1]) * (b[0] - c[0])
+    return left - right, abs(left) + abs(right)
 
 
 def orient2d(a, b, c) -> int:
     """Sign of the area of triangle (a, b, c) in the plane."""
-    det = (a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0])
-    permanent = abs((a[0] - c[0]) * (b[1] - c[1])) + abs((a[1] - c[1]) * (b[0] - c[0]))
-    if abs(det) > _O2D_FILTER * permanent:
+    det, permanent = _orient2d_terms(a, b, c)
+    if abs(det) > _O2D_FILTER * permanent + _UNDERFLOW:
         return 1 if det > 0 else -1
-    F = Fraction
-    det = (F(a[0]) - F(c[0])) * (F(b[1]) - F(c[1])) - (F(a[1]) - F(c[1])) * (
-        F(b[0]) - F(c[0])
-    )
+    det = _orient2d_terms(*_on_integers(a, b, c))[0]
     return (det > 0) - (det < 0)
 
 
@@ -93,43 +105,22 @@ def _segments_intersect_2d(a, b, c, d) -> bool:
     o2 = orient2d(a, b, d)
     o3 = orient2d(c, d, a)
     o4 = orient2d(c, d, b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-    if o1 == 0 and _on_segment_2d(c, a, b):
-        return True
-    if o2 == 0 and _on_segment_2d(d, a, b):
-        return True
-    if o3 == 0 and _on_segment_2d(a, c, d):
-        return True
-    if o4 == 0 and _on_segment_2d(b, c, d):
-        return True
-    return False
+    return (
+        (o1 * o2 < 0 and o3 * o4 < 0)
+        or (o1 == 0 and _on_segment_2d(c, a, b))
+        or (o2 == 0 and _on_segment_2d(d, a, b))
+        or (o3 == 0 and _on_segment_2d(a, c, d))
+        or (o4 == 0 and _on_segment_2d(b, c, d))
+    )
 
 
-def _project_axis(t1, t2) -> int | None:
-    """Axis to drop when flattening coplanar triangles; None if degenerate."""
-    for tri in (t1, t2):
-        e1 = np.asarray(tri[1], dtype=np.float64) - np.asarray(tri[0], dtype=np.float64)
-        e2 = np.asarray(tri[2], dtype=np.float64) - np.asarray(tri[0], dtype=np.float64)
-        n = np.cross(e1, e2)
-        axis = int(np.argmax(np.abs(n)))
-        if n[axis] != 0.0:
-            return axis
+def _plane_axes(tri) -> tuple[int, int] | None:
+    """Two axes whose plane the triangle projects onto with nonzero area,
+    so that flattening keeps every incidence; None if it has zero area."""
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        if orient2d(*((p[u], p[v]) for p in tri)):
+            return u, v
     return None
-
-
-def _coplanar_triangles_intersect(t1, t2) -> bool:
-    axis = _project_axis(t1, t2)
-    if axis is None:
-        return False
-    keep = [i for i in range(3) if i != axis]
-    u = [(p[keep[0]], p[keep[1]]) for p in t1]
-    v = [(p[keep[0]], p[keep[1]]) for p in t2]
-    for i in range(3):
-        for j in range(3):
-            if _segments_intersect_2d(u[i], u[(i + 1) % 3], v[j], v[(j + 1) % 3]):
-                return True
-    return _point_in_triangle_2d(u[0], v) or _point_in_triangle_2d(v[0], u)
 
 
 def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
@@ -142,18 +133,17 @@ def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
         return False
     if sa == 0 and sb == 0:
         # Segment lies in the triangle's plane.
-        axis = _project_axis(tri, tri)
-        if axis is None:
+        axes = _plane_axes(tri)
+        if axes is None:
             return False
-        keep = [i for i in range(3) if i != axis]
-        a2, b2 = (a[keep[0]], a[keep[1]]), (b[keep[0]], b[keep[1]])
-        tri2 = [(p[keep[0]], p[keep[1]]) for p in tri]
-        if _point_in_triangle_2d(a2, tri2) or _point_in_triangle_2d(b2, tri2):
-            return True
-        for j in range(3):
-            if _segments_intersect_2d(a2, b2, tri2[j], tri2[(j + 1) % 3]):
-                return True
-        return False
+        u, v = axes
+        a2, b2 = (a[u], a[v]), (b[u], b[v])
+        tri2 = [(p[u], p[v]) for p in tri]
+        return (
+            _point_in_triangle_2d(a2, tri2)
+            or _point_in_triangle_2d(b2, tri2)
+            or any(_segments_intersect_2d(a2, b2, tri2[j], tri2[(j + 1) % 3]) for j in range(3))
+        )
     # The line through (a, b) pierces the plane at a single point; that point
     # lies in the closed triangle iff the three edge volumes share a sign.
     o1 = orient3d(a, b, tri[0], tri[1])
@@ -165,7 +155,9 @@ def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
 def triangles_intersect(t1, t2) -> bool:
     """Exact closed-set intersection test for two 3D triangles.
 
-    Raises ValueError on a non-finite coordinate.
+    The pair meets iff an edge of one meets the other triangle; a
+    zero-area triangle is met only through its own edges.  Raises
+    ValueError on a non-finite coordinate.
     """
     t1 = [tuple(map(float, p)) for p in t1]
     t2 = [tuple(map(float, p)) for p in t2]
@@ -177,22 +169,16 @@ def triangles_intersect(t1, t2) -> bool:
     s1 = [orient3d(t2[0], t2[1], t2[2], p) for p in t1]
     if all(s > 0 for s in s1) or all(s < 0 for s in s1):
         return False
-    if all(s == 0 for s in s1) and all(s == 0 for s in s2):
-        return _coplanar_triangles_intersect(t1, t2)
-    for i in range(3):
-        a, b = t1[i], t1[(i + 1) % 3]
-        if _segment_triangle_intersect(a, b, t2, s1[i], s1[(i + 1) % 3]):
-            return True
-    for j in range(3):
-        a, b = t2[j], t2[(j + 1) % 3]
-        if _segment_triangle_intersect(a, b, t1, s2[j], s2[(j + 1) % 3]):
-            return True
-    return False
+    return any(
+        _segment_triangle_intersect(t[i], t[(i + 1) % 3], other, s[i], s[(i + 1) % 3])
+        for t, other, s in ((t1, t2, s1), (t2, t1, s2))
+        for i in range(3)
+    )
 
 
-# Candidate pairs expanded per vectorised step of the broad phase, each step
-# tested before the next: bounds the temporaries whatever the faces per cell.
-_PAIR_CHUNK = 1 << 13
+# Index pairs expanded per vectorised step, each step consumed before the
+# next: bounds the temporaries whatever the size of a block.
+_CHUNK = 1 << 13
 
 # Faces whose box extent exceeds this multiple of the median extent do not
 # set the cell size; each is tested against every face instead.
@@ -238,11 +224,27 @@ def _disjoint_overlaps(lo, hi, faces_t, i, j):
     return i[keep], j[keep]
 
 
+def block_pairs(rows: np.ndarray, cols: np.ndarray):
+    """Every (row, col) index pair of the rows[k] x cols[k] blocks, in chunks.
+
+    Yields (block, row, col) arrays of at most _CHUNK entries, block by
+    block, then row by row; a block with no rows or no columns yields nothing.
+    """
+    size = rows * cols
+    block_end = np.cumsum(size)
+    total = int(size.sum())
+    for start in range(0, total, _CHUNK):
+        t = np.arange(start, min(start + _CHUNK, total))
+        block = np.searchsorted(block_end, t, side="right")
+        row, col = np.divmod(t - (block_end[block] - size[block]), cols[block])
+        yield block, row, col
+
+
 def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray):
     """AABB-overlapping, vertex-disjoint face pairs via a uniform cell grid.
 
     Bins the faces, then returns an iterator over chunks (i, j) as
-    `_disjoint_overlaps` returns them: at most _PAIR_CHUNK pairs of ordinary
+    `_disjoint_overlaps` returns them: at most _CHUNK pairs of ordinary
     faces, or one outsized face's row; each unordered pair once, in an
     unspecified order and orientation.
 
@@ -279,15 +281,9 @@ def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray):
             other = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
             hit = cells[other] == target
             other = other[hit]
-            a_start, b_start, b_count = start[hit], start[other], count[other]
+            a_start, b_start = start[hit], start[other]
             # block k holds the count[a] * count[b] pairs of one cell pair (a, b)
-            size = count[hit] * b_count
-            block_end = np.cumsum(size)
-            total = int(size.sum())
-            for s in range(0, total, _PAIR_CHUNK):
-                t = np.arange(s, min(s + _PAIR_CHUNK, total))
-                block = np.searchsorted(block_end, t, side="right")
-                pa, pb = np.divmod(t - (block_end[block] - size[block]), b_count[block])
+            for block, pa, pb in block_pairs(count[hit], count[other]):
                 if dx == dy == dz == 0:
                     later = pa < pb
                     block, pa, pb = block[later], pa[later], pb[later]
@@ -306,19 +302,24 @@ def _plane_side_prefilter(corners: np.ndarray, i: np.ndarray, j: np.ndarray):
 
     Purely a float fast path: a pair is discarded only when all three
     vertices of one triangle are farther from the other's plane than a
-    conservative rounding bound, on the same side.  Returns the kept (i, j).
+    conservative rounding bound, on the same side.  The bound has a floor
+    for underflowed products, and is infinite wherever a sum could
+    overflow, which keeps the pair.  Returns the kept (i, j).
     """
     keep = np.ones(len(i), dtype=bool)
     ci, cj = corners[i], corners[j]
-    for tri, other in ((ci, cj), (cj, ci)):
-        e = tri[:, 1:] - tri[:, :1]
-        # np.cross's products without its overhead, which dominates on small chunks
-        n = e[:, 0, [1, 2, 0]] * e[:, 1, [2, 0, 1]] - e[:, 0, [2, 0, 1]] * e[:, 1, [1, 2, 0]]
-        rel = other - tri[:, :1]
-        d = np.einsum("pc,pkc->pk", n, rel)
-        scale = np.maximum(np.abs(e).max(axis=(1, 2)), np.abs(rel).max(axis=(1, 2)))
-        bound = 1e-12 * scale[:, None] ** 3
-        keep &= ~((d > bound).all(axis=1) | (d < -bound).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tri, other in ((ci, cj), (cj, ci)):
+            e = tri[:, 1:] - tri[:, :1]
+            # np.cross's products without its overhead, which dominates on small chunks
+            n = e[:, 0, [1, 2, 0]] * e[:, 1, [2, 0, 1]] - e[:, 0, [2, 0, 1]] * e[:, 1, [1, 2, 0]]
+            rel = other - tri[:, :1]
+            d = np.einsum("pc,pkc->pk", n, rel)
+            scale = np.maximum(np.abs(e).max(axis=(1, 2)), np.abs(rel).max(axis=(1, 2)))
+            # 1e-12 scale**3 taken from (2 scale)**3, which exceeds every partial sum
+            # of d: a finite bound means a finite d.  2**-1000 covers underflow.
+            bound = 1.25e-13 * (2.0 * scale[:, None]) ** 3 + 2.0**-1000
+            keep &= ~((d > bound).all(axis=1) | (d < -bound).all(axis=1))
     return i[keep], j[keep]
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..flow_field import GridGeometry
 from ..mesh import TriangleMesh, topology_report
+from .intersection import block_pairs
 
 
 class NotWatertightError(ValueError):
@@ -73,22 +74,11 @@ class OccupancyGrid:
 # Deterministic per-attempt column nudges, in units of the cell size.
 _JITTER = [(0.0, 0.0)] + [(1.9e-5 * k, 3.1e-5 * k + 7e-6) for k in range(1, 9)]
 
-# (triangle, column) rows classified per vectorised step; bounds the row
-# temporaries whatever the number of columns a triangle's box covers.
-_ROW_CHUNK = 1 << 13
-
 
 def _rows(j0, j1, k0, k1, columns):
     """Chunks (tri, j, k) of the rows of each triangle's column box j0..j1 x k0..k1, in
     triangle, then j, then k order, whose column is marked in the mask ``columns``."""
-    width = np.maximum(k1 - k0 + 1, 0)
-    size = np.maximum(j1 - j0 + 1, 0) * width
-    row_end = np.cumsum(size)
-    total = int(size.sum())
-    for start in range(0, total, _ROW_CHUNK):
-        row = np.arange(start, min(start + _ROW_CHUNK, total))
-        tri = np.searchsorted(row_end, row, side="right")
-        dj, dk = np.divmod(row - (row_end[tri] - size[tri]), width[tri])
+    for tri, dj, dk in block_pairs(np.maximum(j1 - j0 + 1, 0), np.maximum(k1 - k0 + 1, 0)):
         j, k = j0[tri] + dj, k0[tri] + dk
         keep = columns[j, k]
         yield tri[keep], j[keep], k[keep]

@@ -85,6 +85,16 @@ class TestDeform:
         # OBJ writing quantises to 9 significant digits between the two runs
         assert np.abs(a - b).max() < 1e-7
 
+    @pytest.mark.parametrize("inverse", [[], ["--inverse"]], ids=["forward", "inverse"])
+    def test_empty_mesh_exit_0(self, tmp_path, gated_flow, inverse):
+        mesh, out = tmp_path / "empty.obj", tmp_path / "out.obj"
+        mesh.write_text("")
+        code = main(["deform", "--mesh", str(mesh), "--flow", str(gated_flow),
+                     "--steps", "8", "--out", str(out), *inverse])
+        assert code == 0
+        result = load_obj(out)
+        assert result.vertices.shape == (0, 3) and result.face_count == 0
+
     @pytest.mark.parametrize("gate", ["off", "warn"])
     def test_inverse_needs_strict_gate_whatever_the_policy(
         self, tmp_path, sphere_obj, gated_flow, gate, capsys

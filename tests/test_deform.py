@@ -181,6 +181,14 @@ class TestInvertStep:
         assert err.value.residual > 0
         assert err.value.max_iter == 2
 
+    def test_empty_batch_returns_at_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(deform, "sample_grid", lambda *args: calls.append(1))
+        field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
+        x = invert_step(field, np.zeros((0, 3)), 0.25)
+        assert x.shape == (0, 3) and x.dtype == np.float64
+        assert calls == []
+
 
 def reference_invert_step(field, y, h, tol=1e-12, max_iter=100):
     """The inverse step with an absolute stopping rule, residual <= tol."""
@@ -229,6 +237,11 @@ class TestIntegrateInverse:
         stage = DeformationStage(zero_field(), 4)
         pts = np.array([[0.1, 0.2, 0.3]])
         assert np.array_equal(integrate_inverse(stage, pts), pts)
+
+    def test_empty_batch(self):
+        field = make_gated_field((8, 8, 8), (0, 0, 0), (1, 1, 1), seed=11, steps=8)
+        out = integrate_inverse(DeformationStage(field, 8), np.zeros((0, 3)))
+        assert out.shape == (0, 3)
 
     def test_round_trip_both_directions(self):
         field = make_gated_field((8, 8, 8), (0, 0, 0), (1, 1, 1), seed=11, steps=8)
