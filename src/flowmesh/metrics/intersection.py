@@ -6,15 +6,17 @@ allowance for products that underflow).  A sign the filter cannot certify is
 recomputed on exact integers: every finite float is n / 2**k, and scaling all
 coordinates by the largest 2**k keeps the sign of these homogeneous
 polynomials.  Coplanar pairs need no routine of their own: an edge in the
-other triangle's plane is tested in 2D.  So there are no false positives or
-negatives near coplanar or touching configurations, except that two
-zero-area triangles are never found to meet.  The broad phase bins face
-bounding boxes into a uniform grid of cells no smaller than an ordinary
-face's box, and tests each cell against itself and its forward neighbours in
-fixed-size vectorised chunks; the few outsized faces are tested against
-every face.  Each chunk of candidate pairs, in no particular order, drops
-the pairs of two flagged faces, then goes through a vectorised plane-side
-prefilter and the exact test; no pair list is ever kept.
+other triangle's plane is tested in 2D, and two zero-area triangles meet iff
+an edge of one meets an edge of the other.  So there are no false positives
+or negatives near coplanar, touching or degenerate configurations.  The
+broad phase bins face bounding boxes into a uniform grid of cells no smaller
+than an ordinary face's box, and keeps the boxes in cell order, so that each
+cell's forward neighbourhood is five contiguous runs; it tests each cell
+against them in fixed-size vectorised chunks, and the few outsized faces
+against every face.  The pairs it keeps, in no particular order, go in
+batches of at most the chunk size through the dropping of pairs of two
+flagged faces, a vectorised plane-side prefilter and the exact test; no
+pair list is ever kept.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ def _segments_intersect_2d(a, b, c, d) -> bool:
     )
 
 
+def _segments_meet(a, b, c, d) -> bool:
+    """Closed intersection of 3D segments (a,b) and (c,d).
+
+    They meet iff they are coplanar and meet in all three axis-plane
+    projections: one of those is one-to-one on their plane (or line).
+    """
+    return orient3d(a, b, c, d) == 0 and all(
+        _segments_intersect_2d((a[u], a[v]), (b[u], b[v]), (c[u], c[v]), (d[u], d[v]))
+        for u, v in ((0, 1), (1, 2), (2, 0))
+    )
+
+
 def _plane_axes(tri) -> tuple[int, int] | None:
     """Two axes whose plane the triangle projects onto with nonzero area,
     so that flattening keeps every incidence; None if it has zero area."""
@@ -134,8 +148,8 @@ def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
     if sa == 0 and sb == 0:
         # Segment lies in the triangle's plane.
         axes = _plane_axes(tri)
-        if axes is None:
-            return False
+        if axes is None:  # a zero-area triangle is the union of its edges
+            return any(_segments_meet(a, b, tri[j], tri[(j + 1) % 3]) for j in range(3))
         u, v = axes
         a2, b2 = (a[u], a[v]), (b[u], b[v])
         tri2 = [(p[u], p[v]) for p in tri]
@@ -155,8 +169,8 @@ def _segment_triangle_intersect(a, b, tri, sa: int, sb: int) -> bool:
 def triangles_intersect(t1, t2) -> bool:
     """Exact closed-set intersection test for two 3D triangles.
 
-    The pair meets iff an edge of one meets the other triangle; a
-    zero-area triangle is met only through its own edges.  Raises
+    The pair meets iff an edge of one meets the other triangle, a
+    zero-area triangle being the union of its edges.  Raises
     ValueError on a non-finite coordinate.
     """
     t1 = [tuple(map(float, p)) for p in t1]
@@ -184,17 +198,6 @@ _CHUNK = 1 << 13
 # set the cell size; each is tested against every face instead.
 _OUTSIZED_RATIO = 2.0
 
-# A cell, then its 13 lexicographically positive neighbour offsets, so each
-# unordered pair of adjacent cells is visited once.
-_CELL_OFFSETS = [(0, 0, 0)] + [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-]
-
-
 def _face_boxes(vertices: np.ndarray, faces: np.ndarray):
     """Per-face bounding box bounds (lo, hi), each (3, F): one row per axis."""
     lo = vertices.T[:, faces[:, 0]]
@@ -209,18 +212,18 @@ def _face_boxes(vertices: np.ndarray, faces: np.ndarray):
 def _disjoint_overlaps(lo, hi, faces_t, i, j):
     """The pairs (i, j) whose closed boxes overlap and that share no vertex.
 
-    ``lo``/``hi``/``faces_t`` hold one row per axis or corner; ``i`` is an
-    index array like ``j`` or a single face.
+    ``lo``/``hi``/``faces_t`` hold one contiguous row per axis or corner;
+    ``i`` is an index array like ``j`` or a single face.
     """
     i = np.broadcast_to(i, j.shape)
     for k in range(3):
-        hit = (lo[k, i] <= hi[k, j]) & (lo[k, j] <= hi[k, i])
+        hit = (lo[k].take(i) <= hi[k].take(j)) & (lo[k].take(j) <= hi[k].take(i))
         i, j = i[hit], j[hit]
     keep = np.ones(len(i), dtype=bool)
     for a in range(3):
-        fi = faces_t[a, i]
+        fi = faces_t[a].take(i)
         for b in range(3):
-            keep &= fi != faces_t[b, j]
+            keep &= fi != faces_t[b].take(j)
     return i[keep], j[keep]
 
 
@@ -234,32 +237,37 @@ def block_pairs(rows: np.ndarray, cols: np.ndarray):
     block_end = np.cumsum(size)
     total = int(size.sum())
     for start in range(0, total, _CHUNK):
-        t = np.arange(start, min(start + _CHUNK, total))
-        block = np.searchsorted(block_end, t, side="right")
-        row, col = np.divmod(t - (block_end[block] - size[block]), cols[block])
+        stop = min(start + _CHUNK, total)
+        first, last = np.searchsorted(block_end, (start, stop - 1), side="right")
+        # the chunk's share of each block it overlaps
+        share = np.diff(np.clip(block_end[first : last + 1], start, stop), prepend=start)
+        block = np.repeat(np.arange(first, last + 1), share)
+        row, col = np.divmod(np.arange(start, stop) - (block_end[block] - size[block]), cols[block])
         yield block, row, col
 
 
 def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray):
     """AABB-overlapping, vertex-disjoint face pairs via a uniform cell grid.
 
-    Bins the faces, then returns an iterator over chunks (i, j) as
-    `_disjoint_overlaps` returns them: at most _CHUNK pairs of ordinary
-    faces, or one outsized face's row; each unordered pair once, in an
-    unspecified order and orientation.
+    Bins the faces, then returns an iterator over chunks (i, j) of face
+    indices as `_disjoint_overlaps` keeps them: at most _CHUNK pairs of
+    ordinary faces, or one outsized face's row; each unordered pair once, in
+    an unspecified order and orientation.
 
     Each ordinary face is binned by its box's lower corner into cells whose
     edge is at least the largest ordinary box extent, so two overlapping
     boxes lie in the same or adjacent cells on every axis.  The edge gets a
     relative slack that covers the rounding of the binning, and is at least
-    2**-20 of the grid's span, which keeps cell keys within int64.
+    2**-20 of the grid's span, which keeps cell keys within int64.  The boxes
+    and corner indices are then kept in cell order, outsized faces last, so
+    that a cell's neighbourhood is five contiguous runs of rows.
     """
     lo, hi = _face_boxes(vertices, faces)
-    faces_t = np.ascontiguousarray(faces.T)
     extent = (hi - lo).max(axis=0)
     outsized = extent > _OUTSIZED_RATIO * np.median(extent)
 
     ids = np.flatnonzero(~outsized)
+    n = len(ids)
     box_lo = lo[:, ids]
     shifted = box_lo - box_lo.min(axis=1, keepdims=True)
     edge = max(float(extent[ids].max()), float(shifted.max()) * 2.0**-20)
@@ -271,28 +279,36 @@ def _candidate_pairs(vertices: np.ndarray, faces: np.ndarray):
     key = (cell[0] * radix[1] + cell[1]) * radix[2] + cell[2]
     del cell
     by_key = np.argsort(key, kind="stable")
-    members = ids[by_key]
     cells, start, count = np.unique(key[by_key], return_index=True, return_counts=True)
-    del key, by_key
+    del key
+    order = np.concatenate((ids[by_key], np.flatnonzero(outsized)))
+    del ids, by_key
+    lo = lo.take(order, axis=1)
+    hi = hi.take(order, axis=1)
+    faces_t = faces.T.take(order, axis=1)
+    ends = np.append(start, n)
 
     def chunks():
-        for dx, dy, dz in _CELL_OFFSETS:
-            target = cells + (dx * radix[1] + dy) * radix[2] + dz
-            other = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-            hit = cells[other] == target
-            other = other[hit]
-            a_start, b_start = start[hit], start[other]
-            # block k holds the count[a] * count[b] pairs of one cell pair (a, b)
-            for block, pa, pb in block_pairs(count[hit], count[other]):
-                if dx == dy == dz == 0:
-                    later = pa < pb
-                    block, pa, pb = block[later], pa[later], pb[later]
-                yield _disjoint_overlaps(
-                    lo, hi, faces_t, members[a_start[block] + pa], members[b_start[block] + pb]
-                )
-        everyone = np.arange(len(faces))
-        for i in np.flatnonzero(outsized):
-            yield _disjoint_overlaps(lo, hi, faces_t, i, np.flatnonzero(~outsized | (everyone > i)))
+        # Row-major keys put a column's cells z-1, z and z+1 side by side, so
+        # a cell's forward neighbours are five runs of the cell order: its own
+        # column from the cell through z+1, then the z-1..z+1 stretch of each
+        # forward column (dx, dy).
+        for dx, dy, dz in ((0, 0, 0), (0, 1, -1), (1, -1, -1), (1, 0, -1), (1, 1, -1)):
+            column = cells + (dx * radix[1] + dy) * radix[2]
+            first = ends[np.searchsorted(cells, column + dz)]
+            length = ends[np.searchsorted(cells, column + 1, side="right")] - first
+            # block k holds the count[k] * length[k] pairs of cell k and its run
+            for block, row, col in block_pairs(count, length):
+                i, j = start[block] + row, first[block] + col
+                if dx == dy == 0:  # each pair of one cell once
+                    later = i < j
+                    i, j = i[later], j[later]
+                i, j = _disjoint_overlaps(lo, hi, faces_t, i, j)
+                yield order.take(i), order.take(j)
+        everyone = np.arange(len(order))
+        for p in range(n, len(order)):
+            i, j = _disjoint_overlaps(lo, hi, faces_t, p, everyone[(everyone < n) | (everyone > p)])
+            yield order.take(i), order.take(j)
 
     return chunks()
 
@@ -323,6 +339,19 @@ def _plane_side_prefilter(corners: np.ndarray, i: np.ndarray, j: np.ndarray):
     return i[keep], j[keep]
 
 
+def _batches(chunks):
+    """The (i, j) pairs of the chunks, in order, regrouped into batches of
+    _CHUNK pairs; only the last may hold fewer."""
+    i = j = np.zeros(0, dtype=np.int64)
+    for a, b in chunks:
+        i, j = np.concatenate((i, a)), np.concatenate((j, b))
+        while len(i) >= _CHUNK:
+            yield i[:_CHUNK], j[:_CHUNK]
+            i, j = i[_CHUNK:], j[_CHUNK:]
+    if len(i):
+        yield i, j
+
+
 def self_intersecting_faces(mesh: TriangleMesh) -> tuple[int, float]:
     """Count faces whose closed triangle intersects a non-adjacent face.
 
@@ -338,7 +367,7 @@ def self_intersecting_faces(mesh: TriangleMesh) -> tuple[int, float]:
     chunks = _candidate_pairs(mesh.vertices, mesh.faces)
     corners = mesh.triangle_corners()  # after the binning, whose temporaries set the peak
     flagged = np.zeros(f, dtype=bool)
-    for i, j in chunks:
+    for i, j in _batches(chunks):
         fresh = ~(flagged[i] & flagged[j])
         for a, b in zip(*_plane_side_prefilter(corners, i[fresh], j[fresh])):
             if not (flagged[a] and flagged[b]) and triangles_intersect(corners[a], corners[b]):

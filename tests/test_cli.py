@@ -171,6 +171,17 @@ class TestMetrics:
         assert abs(report["chamfer"] - 0.1) / 0.1 < 0.05
         assert report["dice"] is None and report["volume_similarity"] is None
 
+    def test_tiny_coordinates_exit_0(self, tmp_path):
+        # the cross products' squares underflow here, so a plain norm is 0
+        mesh, out = tmp_path / "tiny.obj", tmp_path / "r.json"
+        base = icosphere(3)
+        store_obj(base.with_vertices(base.vertices * 1e-105), mesh)
+        code = main(["metrics", "--pred", str(mesh), "--gt", str(mesh),
+                     "--samples", "1000", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["chamfer"] == 0.0 and report["sif_count"] == 0
+
     def test_non_watertight_with_voxel_exit_2(self, tmp_path):
         open_mesh = tmp_path / "open.obj"
         open_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

@@ -37,6 +37,7 @@ from flowmesh.metrics import (
     nearest_neighbor_indices,
     sample_surface,
     self_intersecting_faces,
+    triangle_areas,
     triangles_intersect,
     volume_similarity,
     voxelize,
@@ -145,6 +146,18 @@ class TestSampling:
         )
         diameter = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
         assert np.all(plane_dist <= 1e-9 * np.maximum(diameter, 1.0))
+
+    def test_areas_below_the_squares_underflow_are_exact(self):
+        sphere = icosphere(3)
+        areas = triangle_areas(sphere.vertices, sphere.faces)
+        tiny = triangle_areas(sphere.vertices * 2.0**-450, sphere.faces)
+        assert np.array_equal(tiny, areas * 2.0**-900)
+
+    def test_tiny_scale_draws_the_same_faces(self):
+        sphere = icosphere(3)
+        tiny = TriangleMesh(sphere.vertices * 2.0**-266, sphere.faces)
+        expected = sample_surface(sphere, 2000, seed=4).face_indices
+        assert np.array_equal(sample_surface(tiny, 2000, seed=4).face_indices, expected)
 
     def test_degenerate_mesh_rejected(self):
         mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
@@ -546,12 +559,76 @@ class TestCoplanarOracle:
         assert counts[1] > 100 and counts[2] > 0
         assert coplanar_mismatches({0, 1}) == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="FOUND: two overlapping zero-area triangles are never reported as meeting",
-    )
     def test_overlapping_zero_area_pairs(self):
         assert coplanar_mismatches({2}) == []
+
+
+def _sub(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def _dot(p, q):
+    return sum(x * y for x, y in zip(p, q))
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def segments_meet_3d(a, b, c, d):
+    """Whether closed integer 3D segments (a,b) and (c,d) meet, either of them
+    possibly a point: Cramer's rule for non-parallel segments, interval overlap
+    along the line for collinear ones."""
+    u, v, w = _sub(b, a), _sub(d, c), _sub(c, a)
+    if u == (0, 0, 0) and v == (0, 0, 0):
+        return a == c
+    if u == (0, 0, 0):
+        return segments_meet_3d(c, d, a, b)
+    if v == (0, 0, 0):  # the point c on the segment (a, b)
+        return _cross(u, w) == (0, 0, 0) and 0 <= _dot(w, u) <= _dot(u, u)
+    n = _cross(u, v)
+    if n != (0, 0, 0):
+        # a + s u = c + t v with s, t in [0, 1], solved in the segments' plane
+        nn = _dot(n, n)
+        return (
+            _dot(w, n) == 0
+            and 0 <= _dot(_cross(w, v), n) <= nn
+            and 0 <= _dot(_cross(w, u), n) <= nn
+        )
+    if _cross(u, w) != (0, 0, 0):
+        return False  # parallel lines
+    tc, td = _dot(w, u), _dot(_sub(d, a), u)
+    return max(min(tc, td), 0) <= min(max(tc, td), _dot(u, u))
+
+
+def hull_segment(tri):
+    """The two farthest-apart corners of a zero-area triangle: its whole extent."""
+    return max(
+        ((p, q) for p in tri for q in tri), key=lambda pq: _dot(_sub(*pq), _sub(*pq))
+    )
+
+
+class TestZeroAreaPairsIn3D:
+    def test_matches_segment_oracle(self):
+        # collinear integer corners p + t d; for half the pairs the second's p
+        # lies on the first's line, so that many of them meet
+        rng = np.random.default_rng(41)
+        count = 3000
+        base = rng.integers(-2, 3, (2, count, 1, 3))
+        direction = rng.integers(-1, 2, (2, count, 1, 3))
+        steps = rng.integers(-2, 3, (2, count, 3, 1))
+        on_line = rng.random(count) < 0.5
+        shift = rng.integers(-2, 3, (on_line.sum(), 1, 1))
+        base[1, on_line] = base[0, on_line] + shift * direction[0, on_line]
+        tris = (base + steps * direction).tolist()
+        segments = [[hull_segment([tuple(p) for p in t]) for t in side] for side in tris]
+        expected = [segments_meet_3d(*s1, *s2) for s1, s2 in zip(*segments)]
+        skew = [
+            _dot(_cross(_sub(b, a), _sub(d, c)), _sub(c, a)) != 0 for (a, b), (c, d) in zip(*segments)
+        ]
+        assert 100 < sum(expected) < count - 100
+        assert sum(skew) > 100
+        assert [triangles_intersect(t1, t2) for t1, t2 in zip(*tris)] == expected
 
 
 def fraction_orient3d(a, b, c, d):
@@ -693,6 +770,32 @@ def degenerate_faces():
     return soup_mesh(np.concatenate([segments, np.repeat(points, 3, axis=1)]))
 
 
+def tall_column():
+    """Slanted faces stacked along z, each box overlapping its neighbours'
+    across many cells of one column."""
+    z = np.arange(0.0, 60.0, 0.25)[:, None, None]
+    return soup_mesh(z * [0, 0, 1] + [[0, 0, 0], [1, 0, 1], [0, 1, 0.5]])
+
+
+def one_cell_slab():
+    """Random faces spread over x and y whose lower corners all lie in one
+    layer of cells."""
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0, 8, (300, 1, 3)) * [1, 1, 0]
+    return soup_mesh(base + rng.uniform(0, 1, (300, 3, 3)))
+
+
+def on_cell_boundaries():
+    """Boxes of extent e at negative coordinates, their lower or upper corners
+    exactly on the boundaries of the cells of edge e * (1 + 2**-20), so that
+    boxes touch exactly across each boundary."""
+    e = 0.25
+    edge = e * (1 + 2.0**-20)
+    axis = -4.0 + np.concatenate([np.arange(4) * edge, np.arange(1, 4) * edge - e])
+    origins = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    return soup_mesh(origins.reshape(-1, 1, 3) + [[0, 0, 0], [e, 0, 0], [0, e, e]])
+
+
 def unordered_rows(pairs):
     """The (n, 2) pairs as sorted rows of (smaller, larger) face index."""
     rows = np.sort(pairs, axis=1)
@@ -761,11 +864,34 @@ class TestBroadPhase:
             lambda: coincident_copies(2000),
             lambda: with_spanning_face(icosphere(4)),
             lambda: TriangleMesh(icosphere(4).vertices * [1.0, 0.8, 0.65], icosphere(4).faces),
+            tall_column,
+            one_cell_slab,
+            on_cell_boundaries,
+            lambda: TriangleMesh(icosphere(5).vertices * [1.0, 0.8, 0.65], icosphere(5).faces),
         ],
-        ids=["touching", "degenerate", "coincident", "spanning_face", "ellipsoid"],
+        ids=[
+            "touching", "degenerate", "coincident", "spanning_face", "ellipsoid",
+            "tall_column", "slab", "cell_boundaries", "ellipsoid_5",
+        ],
     )
     def test_matches_sweep(self, make):
         assert len(assert_matches_sweep(make())) > 0
+
+    def test_candidates_per_face_are_capped(self, monkeypatch):
+        # 14.29 per face when pinned: the box test's work stays near the
+        # neighbourhood of each face
+        mesh = icosphere(5)
+        examined = []
+        overlaps = intersection._disjoint_overlaps
+
+        def counting(lo, hi, faces_t, i, j):
+            examined.append(len(j))
+            return overlaps(lo, hi, faces_t, i, j)
+
+        monkeypatch.setattr(intersection, "_disjoint_overlaps", counting)
+        for _ in intersection._candidate_pairs(mesh.vertices, mesh.faces):
+            pass
+        assert sum(examined) <= 15.7 * mesh.face_count
 
     def test_outsized_face_does_not_set_cell_size(self, monkeypatch):
         # A cell edge set by the spanning face would put every face in one
@@ -851,7 +977,7 @@ class TestBroadPhase:
 
         monkeypatch.setattr(intersection, "triangles_intersect", counting)
         assert self_intersecting_faces(TriangleMesh(vertices, sphere.faces)) == (480, 9.375)
-        assert len(calls) == 567
+        assert len(calls) == 571
 
 
 class TestBlockPairs:
