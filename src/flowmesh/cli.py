@@ -119,6 +119,8 @@ def cmd_metrics(args) -> int:
         raise ValueError("--voxel-dims and --voxel-spacing must be given together")
     if args.voxel_origin is not None and args.voxel_dims is None:
         raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if _refuse_samples(args.samples):  # zero and negative counts are refused later, exit 1
         return EXIT_PRECONDITION
     if args.voxel_dims is not None:

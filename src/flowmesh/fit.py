@@ -127,6 +127,8 @@ class FitConfig:
         weights = _typed("loss_weights", fields.pop("loss_weights", {}), dict, "an object")
         if spelled := {"chamfer_weight", "edge_weight"} & fields.keys():
             raise ValueError(f"fit config has unknown field {min(spelled)!r}; use loss_weights")
+        if unknown := [f"loss_weights.{k}" for k in weights if k not in ("chamfer", "edge")]:
+            raise ValueError(f"fit config has unknown field {unknown[0]!r}")
         try:
             stages = _typed("stages", fields.pop("stages"), (list, tuple), "a list")
             stages = tuple(StageConfig(**_typed(f"stages[{i}]", s, dict, "an object"))
@@ -304,13 +306,8 @@ def backward(inter: Intermediates) -> np.ndarray:
 
     grad = np.zeros_like(inter.params)
     grad_x = grad_v
-    first, *later = inter.step_stencils
-    for stencil in reversed(later):
-        g_in = grad_x[stencil.inside]
-        stencil.scatter(grad.reshape(-1, 3), g_in, h)
-        grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
-    # the first step's J^T would reach only the frozen start vertices
-    first.scatter(grad.reshape(-1, 3), grad_x[first.inside], h)
+    for s in reversed(inter.step_stencils):
+        grad_x[s.inside] += s.backprop(grad.reshape(-1, 3), inter.params, grad_x[s.inside], h)
 
     grad[_boundary_mask(geometry.dims)] = 0.0
     return grad

@@ -189,10 +189,8 @@ class TrilinearStencil:
     outside see a zero field and have no row.  A point on a cell face takes
     the cell above it, except on the grid's upper faces (the last cell).
 
-    ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``blend`` and
-    ``sample`` (all ``count`` points, zero outside) evaluate the interpolant,
-    ``scatter`` and ``jacobian_transpose`` are adjoints of ``blend`` for
-    reverse-mode gradients.
+    ``data64`` arguments are (H, W, D, 3) float64 node arrays; ``sample`` evaluates the
+    interpolant at all ``count`` points (zero outside) and ``backprop`` is its reverse step.
     """
 
     __slots__ = ("geometry", "count", "inside", "base", "local")
@@ -227,43 +225,38 @@ class TrilinearStencil:
         np.subtract(1.0, factors[:, 1], out=factors[:, 0])
         return factors
 
-    def _corners(self, data64: np.ndarray) -> np.ndarray:
-        return np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
-
-    def _weight_gradients(self) -> np.ndarray:
-        """d(weight)/d(world position), (n, 8, 3): axis a's pair becomes (-1, 1)."""
-        f, n = self._axis_factors(), len(self.local)
+    def _weight_gradients(self, f: np.ndarray) -> np.ndarray:
+        """d(weight)/d(world position), (n, 8, 3), from factors f: axis a's pair becomes (-1, 1)."""
+        n = f.shape[2]
         du = np.broadcast_to(_DU[:, None], (2, n))
         grads = np.empty((n, 8, 3))
         for a, d in enumerate(self.geometry.spacing):
             np.divide(_corner_products(*f[:a], du, *f[a + 1:]), d, out=grads[:, :, a])
         return grads
 
-    def blend(self, data64: np.ndarray) -> np.ndarray:
-        """Interpolated node vectors, shape (n, 3)."""
-        return np.einsum("np,npc->nc", self.weights, self._corners(data64))
-
     def sample(self, data64: np.ndarray) -> np.ndarray:
         """The interpolant at every point of the batch, zero outside; (N, 3)."""
-        values = self.blend(data64)
+        corners = np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
+        values = np.einsum("np,npc->nc", self.weights, corners)
         if len(values) == self.count:
             return values
         out = np.zeros((self.count, 3), dtype=np.float64)
         out[self.inside] = values
         return out
 
-    def scatter(self, out: np.ndarray, grad: np.ndarray, scale: float) -> None:
-        """Adjoint of ``blend`` in the node data: adds ``scale * weight * grad`` of
-        each row to its 8 corner rows of the (nodes, 3) array ``out``, by ``np.add.at``
-        per column over the raveled index (an (n, 8) index measured 5x slower)."""
-        flat, sw = self.flat.ravel(), scale * self.weights
+    def backprop(self, out: np.ndarray, data64: np.ndarray, grad: np.ndarray,
+                 scale: float) -> np.ndarray:
+        """The reverse step of ``sample`` on the rows for an (n, 3) ``grad``: adds ``scale *
+        weight * grad`` of each row to its 8 corner rows of the (nodes, 3) ``out``, a column at a
+        time by ``np.add.at`` (an (n, 8) index ran 5x slower), and returns ``scale * J^T grad``."""
+        flat, factors = self.flat, self._axis_factors()
+        node_dot = np.einsum("npc,nc->np", np.take(data64.reshape(-1, 3), flat, axis=0), grad)
+        # J^T first: its (n, 8, 3) weight gradients are freed before the adds' (n, 8)
+        jt = scale * np.einsum("npa,np->na", self._weight_gradients(factors), node_dot)
+        sw = scale * _corner_products(*factors)
         for c in range(out.shape[1]):
-            np.add.at(out[:, c], flat, (sw * grad[:, c, None]).ravel())
-
-    def jacobian_transpose(self, data64: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Adjoint of ``blend`` in the points: J^T grad per row, shape (n, 3)."""
-        node_dot = np.einsum("npc,nc->np", self._corners(data64), grad)
-        return np.einsum("npa,np->na", self._weight_gradients(), node_dot)
+            np.add.at(out[:, c], flat.ravel(), (sw * grad[:, c, None]).ravel())
+        return jt
 
 
 def sample_grid(geometry: GridGeometry, data64: np.ndarray, points) -> np.ndarray:

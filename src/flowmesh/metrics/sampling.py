@@ -27,35 +27,38 @@ class SampledCloud:
         return len(self.points)
 
 
-def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-face (b - a) x (c - a), twice the area along the face normal, and its norm.
+def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-face (b - a) x (c - a), twice the area along the face normal, and its norm,
+    except that both are 2**2k times too large on the faces ``tiny``: (cross, norm, tiny, k).
 
     Below a norm of 2**-400 the squares may underflow, so such a face is
     recomputed from its edge vectors scaled by the power of two 2**k that
-    brings their largest coordinate into [1, 2), then scaled back by 2**-2k:
-    exact, so every other face keeps its bits.
+    brings their largest coordinate into [1, 2).  Its unit normal is divided
+    out at that scale; only its area is scaled back, exactly, by 2**-2k.
+    Every other face keeps its bits.
     """
     corners = vertices[faces]
     u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
     cross = np.cross(u, w)
     norm = np.linalg.norm(cross, axis=1)
     tiny = np.flatnonzero(norm < 2.0**-400)
+    u, w = u[tiny], w[tiny]
+    k = 1 - np.frexp(np.maximum(np.abs(u), np.abs(w)).max(axis=1))[1]
     if len(tiny):
-        u, w = u[tiny], w[tiny]
-        k = 1 - np.frexp(np.maximum(np.abs(u), np.abs(w)).max(axis=1))[1]
-        small = np.cross(np.ldexp(u, k[:, None]), np.ldexp(w, k[:, None]))
-        cross[tiny] = np.ldexp(small, -2 * k[:, None])
-        norm[tiny] = np.ldexp(np.linalg.norm(small, axis=1), -2 * k)
-    return cross, norm
+        cross[tiny] = np.cross(np.ldexp(u, k[:, None]), np.ldexp(w, k[:, None]))
+        norm[tiny] = np.linalg.norm(cross[tiny], axis=1)
+    return cross, norm, tiny, k
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _draw_from_areas refuses them
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    return 0.5 * _face_cross(vertices, faces)[1]
+    _, norm, tiny, k = _face_cross(vertices, faces)
+    norm[tiny] = np.ldexp(norm[tiny], -2 * k)
+    return 0.5 * norm
 
 
 def face_unit_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    cross, norms = _face_cross(vertices, faces)
+    cross, norms, _, _ = _face_cross(vertices, faces)
     norms[norms == 0.0] = 1.0
     return cross / norms[:, None]
 

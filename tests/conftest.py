@@ -52,6 +52,26 @@ def trilinear_oracle(geometry, data, point):
     return out
 
 
+def stencil_formulas(local, spacing):
+    """The (n, 8) trilinear weights of cell coordinates ``local`` and their
+    (n, 8, 3) gradients in world position, corner by corner: corner p has
+    offsets (p >> 2 & 1, p >> 1 & 1, p & 1) along the three axes."""
+    t = local
+    m = 1.0 - t
+    yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
+    weights = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
+    u = np.stack([1.0 - t, t], axis=2)
+    du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
+    grads = np.empty((t.shape[0], 8, 3))
+    for p in range(8):
+        a, b, c = p >> 2 & 1, p >> 1 & 1, p & 1
+        fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
+        grads[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
+        grads[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
+        grads[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
+    return weights, grads
+
+
 def stability_oracle(geometry, data):
     """Exhaustive per-node, per-axis forward-difference enumeration.
 

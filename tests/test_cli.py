@@ -447,6 +447,7 @@ _REFUSED_CONFIGS = [  # (config, the field its message names)
     ({"stages": [_STAGE], "domain_radius": True}, "domain_radius"),
     ({"stages": [_STAGE], "loss_weights": {"chamfer": True}}, "chamfer weight"),
     ({"stages": [_STAGE], "loss_weights": {"edge": False}}, "edge weight"),
+    ({"stages": [_STAGE], "loss_weights": {"chamfer": 1, "foo": 1}}, "'loss_weights.foo'"),
     ({"stages": [_STAGE], "chamfer_weight": 2.0}, "chamfer_weight"),
     ({"stages": [_STAGE], "edge_weight": 0.0}, "edge_weight"),
     ({"stages": 5}, "stages"),
@@ -552,6 +553,22 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         cells = (16 * 2000) ** 3
         assert f"error: {cells} supersampled voxel cells exceed 134217728 (512**3)" in err
+        assert not out.exists()
+
+    def test_metrics_negative_seed_exit_1_before_loading(
+        self, tmp_path, sphere_obj, monkeypatch, capsys
+    ):
+        import flowmesh.cli
+
+        def refuse(*args):
+            raise AssertionError("mesh loaded")
+
+        monkeypatch.setattr(flowmesh.cli, "load_obj", refuse)
+        out = tmp_path / "r.json"
+        code = main(["metrics", "--pred", str(sphere_obj), "--gt", str(sphere_obj),
+                     "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("scale, area", [(1e80, "inf"), (1e160, "nan")])

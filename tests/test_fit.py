@@ -39,6 +39,8 @@ from flowmesh.mesh import unique_edges
 from flowmesh.metrics import chamfer, distances, edge_loss, match_clouds, sample_surface
 from flowmesh.metrics.distances import CloudMatch, mean_squared_edge_length
 
+from conftest import stencil_formulas
+
 
 def small_problem(seed=0, steps=2, samples=64, w_edge=1.0, grid=(5, 5, 5)):
     template = icosphere(0, radius=0.5)
@@ -218,8 +220,9 @@ class TestBackward:
 
 
 def reference_backward(inter):
-    """The reverse pass before stencil reuse: ``np.add.at`` scatters and a
-    stencil rebuilt at each step from the positions, recomputed here."""
+    """The reverse pass before stencil reuse: ``np.add.at`` scatters, J^T from
+    the loop formulas, and a stencil rebuilt at each step from the positions,
+    recomputed here."""
     from flowmesh.flow_field import TrilinearStencil, sample_grid
 
     problem = inter.problem
@@ -250,14 +253,13 @@ def reference_backward(inter):
     for x in reversed(step_points):
         stencil = TrilinearStencil(geometry, x)
         g_in = grad_x[stencil.inside]
-        t = stencil.local  # per-corner weights, written out rather than taken from the stencil
-        m = 1.0 - t
-        yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
-        weights = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
+        # weights and their gradients written out rather than taken from the stencil
+        weights, grads = stencil_formulas(stencil.local, geometry.spacing)
         np.add.at(
             grad.reshape(-1, 3), stencil.flat, h * weights[:, :, None] * g_in[:, None, :]
         )
-        grad_x[stencil.inside] += h * stencil.jacobian_transpose(inter.params, g_in)
+        node_dot = np.einsum("npc,nc->np", inter.params.reshape(-1, 3)[stencil.flat], g_in)
+        grad_x[stencil.inside] += h * np.einsum("npa,np->na", grads, node_dot)
     grad[_boundary_mask(geometry.dims)] = 0.0
     return grad
 

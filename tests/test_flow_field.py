@@ -16,7 +16,6 @@ from flowmesh import (
     store_flow,
 )
 from flowmesh.flow_field import (
-    _CORNERS,
     DFF1_MAGIC,
     TrilinearStencil,
     _boundary_mask,
@@ -24,7 +23,7 @@ from flowmesh.flow_field import (
     scatter_add,
 )
 
-from conftest import make_gated_field, stability_oracle, trilinear_oracle
+from conftest import make_gated_field, stability_oracle, stencil_formulas, trilinear_oracle
 
 
 def interior_field(dims, values_fn, origin=(0.0, 0.0, 0.0), spacing=(1.0, 1.0, 1.0)):
@@ -220,7 +219,7 @@ class TestJacobian:
         g = rng.normal(size=(50, 3))
         stencil = TrilinearStencil(field.geometry, pts)
         assert len(stencil.inside) == len(pts)
-        gj = stencil.jacobian_transpose(field.data64, g)
+        gj = stencil.backprop(np.zeros((6**3, 3)), field.data64, g, 1.0)
         eps = 1e-7
         for axis in range(3):
             shift = np.zeros(3)
@@ -394,7 +393,8 @@ class TestTrilinearStencil:
         assert np.array_equal(stencil.inside, contained)
         assert stencil.flat.shape == (len(contained), 8)
         expected = np.stack([trilinear_oracle(geometry, data, p) for p in pts[contained]])
-        assert np.allclose(stencil.blend(data), expected, rtol=1e-12, atol=1e-12)
+        blend = stencil.sample(data)[stencil.inside]
+        assert np.allclose(blend, expected, rtol=1e-12, atol=1e-12)
 
     def test_keeps_40_bytes_per_row(self):
         # flat and weights are computed from base and local on each read
@@ -403,16 +403,16 @@ class TestTrilinearStencil:
         nbytes = sum(a.nbytes for a in kept if isinstance(a, np.ndarray))
         assert nbytes <= 40 * len(stencil.inside)
 
-    def test_scatter_is_adjoint_of_blend(self):
+    def test_backprop_is_adjoint_of_sample(self):
         _, data, _, stencil = self.batch()
         g = np.random.default_rng(33).normal(size=(len(stencil.inside), 3))
         out = np.zeros((data.size // 3, 3))
-        stencil.scatter(out, g, 1.0)
-        lhs = float(np.sum(stencil.blend(data) * g))
+        stencil.backprop(out, data, g, 1.0)
+        lhs = float(np.sum(stencil.sample(data)[stencil.inside] * g))
         rhs = float(np.sum(data.reshape(-1, 3) * out))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_jacobian_transpose_matches_cell_face_differences(self):
+    def test_backprop_returns_cell_face_differences(self):
         # the interpolant is linear along each axis within a cell, so dv/dx_a
         # is the difference of its values on the two cell faces across axis a,
         # in the cell the stencil assigns (the one above a face, the last one
@@ -435,53 +435,43 @@ class TestTrilinearStencil:
                 faces.append(np.stack([trilinear_oracle(geometry, data, q) for q in p]))
             width = bounds[1][:, axis] - bounds[0][:, axis]
             expected[:, axis] = np.sum(g * (faces[1] - faces[0]), axis=1) / width
+        out = np.zeros((data.size // 3, 3))
         assert np.allclose(
-            stencil.jacobian_transpose(data, g), expected, rtol=1e-12, atol=1e-12
+            stencil.backprop(out, data, g, 1.0), expected, rtol=1e-12, atol=1e-12
         )
 
     def test_sample_is_blend_with_zero_outside(self):
         geometry, data, pts, stencil = self.batch()
         full = stencil.sample(data)
         assert full.shape == pts.shape
-        assert np.array_equal(full[stencil.inside], stencil.blend(data))
+        rows = TrilinearStencil(geometry, pts[stencil.inside]).sample(data)
+        assert np.array_equal(full[stencil.inside], rows)
         outside = np.ones(len(pts), dtype=bool)
         outside[stencil.inside] = False
         assert not full[outside].any()
         assert np.array_equal(sample_grid(geometry, data, pts), full)
 
     def test_kernels_equal_reference_formulas_bitwise(self):
-        """The weights, the gather, the scatter and the weight gradients are
-        bitwise equal to the per-corner, fancy-index, ``np.add.at`` and loop
-        formulas."""
+        """The weights, the scatter and J^T are bitwise equal to the per-corner,
+        ``np.add.at`` and loop formulas, J^T on the fancy-index gather."""
         geometry, data, _, stencil = self.batch()
-        t = stencil.local
-        m = 1.0 - t
-        yz = [m[:, 1] * m[:, 2], m[:, 1] * t[:, 2], t[:, 1] * m[:, 2], t[:, 1] * t[:, 2]]
-        weights = np.stack([m[:, 0] * p for p in yz] + [t[:, 0] * p for p in yz], axis=1)
+        weights, grads = stencil_formulas(stencil.local, geometry.spacing)
         assert stencil.weights.tobytes() == weights.tobytes()
-        assert stencil._corners(data).tobytes() == data.reshape(-1, 3)[stencil.flat].tobytes()
 
         g = np.random.default_rng(35).normal(size=(len(stencil.inside), 3))
         out = np.zeros((data.size // 3, 3))
-        stencil.scatter(out, g, 0.125)
+        jt = stencil.backprop(out, data, g, 0.125)
         expected = np.zeros_like(out)
         np.add.at(expected, stencil.flat, 0.125 * weights[:, :, None] * g[:, None, :])
         assert out.tobytes() == expected.tobytes()
 
-        spacing = np.array(geometry.spacing)
-        u = np.stack([1.0 - t, t], axis=2)
-        du = np.broadcast_to(np.array([-1.0, 1.0]), (t.shape[0], 3, 2))
-        loop = np.empty((t.shape[0], 8, 3))
-        for p, (a, b, c) in enumerate(_CORNERS):
-            fx, fy, fz = u[:, 0, a], u[:, 1, b], u[:, 2, c]
-            loop[:, p, 0] = du[:, 0, a] * fy * fz / spacing[0]
-            loop[:, p, 1] = fx * du[:, 1, b] * fz / spacing[1]
-            loop[:, p, 2] = fx * fy * du[:, 2, c] / spacing[2]
-        assert stencil._weight_gradients().tobytes() == loop.tobytes()
+        corners = data.reshape(-1, 3)[stencil.flat]
+        node_dot = np.einsum("npc,nc->np", corners, g)
+        assert jt.tobytes() == (0.125 * np.einsum("npa,np->na", grads, node_dot)).tobytes()
 
 
 class TestScatterAdd:
-    """``scatter_add`` and ``TrilinearStencil.scatter`` must equal ``np.add.at``
+    """``scatter_add`` and ``TrilinearStencil.backprop`` must equal ``np.add.at``
     on the whole array byte for byte, although they add one column at a time."""
 
     @staticmethod
@@ -520,23 +510,24 @@ class TestScatterAdd:
         stencil = TrilinearStencil(geometry, np.array([[0.5, 1.25, 2.0]]))
         nodes = np.full((64, 3), -0.0)
         grad = np.array([[1.0, -2.0, 0.5]])
-        stencil.scatter(nodes, grad, 0.25)
+        stencil.backprop(nodes, np.zeros((4, 4, 4, 3)), grad, 0.25)
         expected = np.full((64, 3), -0.0)
         np.add.at(expected, stencil.flat, 0.25 * stencil.weights[:, :, None] * grad[:, None, :])
         assert nodes.tobytes() == expected.tobytes()
         untouched = np.setdiff1d(np.arange(64), stencil.flat)
         assert np.signbit(nodes[untouched]).all()
 
-    def test_stencil_scatter_memory_does_not_grow_with_the_grid(self):
-        # the adds touch only the rows' corner nodes, not all 128^3 of them
+    def test_stencil_backprop_memory_does_not_grow_with_the_grid(self):
+        # the adds and the gather touch only the rows' corner nodes, not all 128^3
         geometry = GridGeometry((128, 128, 128), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         points = np.random.default_rng(3).uniform(1.0, 126.0, size=(100, 3))
         stencil = TrilinearStencil(geometry, points)
         out = np.zeros((128**3, 3))
+        data64 = np.zeros((128, 128, 128, 3))
         grad = np.ones((100, 3))
         tracemalloc.start()
         try:
-            stencil.scatter(out, grad, 0.5)
+            stencil.backprop(out, data64, grad, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,6 +32,7 @@ from flowmesh.metrics import (
     chamfer_normals,
     dice,
     edge_loss,
+    face_unit_normals,
     hausdorff,
     match_clouds,
     nearest_neighbor_indices,
@@ -152,6 +153,15 @@ class TestSampling:
         areas = triangle_areas(sphere.vertices, sphere.faces)
         tiny = triangle_areas(sphere.vertices * 2.0**-450, sphere.faces)
         assert np.array_equal(tiny, areas * 2.0**-900)
+
+    @pytest.mark.parametrize("exponent", [-450, -520, -530, -600, -900])
+    def test_unit_normals_at_tiny_scales_are_exact(self, exponent):
+        # the cross products of these faces underflow; their rescaled ones must
+        # be divided by their norms at the working scale, not back in the subnormals
+        sphere = icosphere(3)
+        normals = face_unit_normals(sphere.vertices, sphere.faces)
+        tiny = face_unit_normals(sphere.vertices * 2.0**exponent, sphere.faces)
+        assert tiny.tobytes() == normals.tobytes()
 
     def test_tiny_scale_draws_the_same_faces(self):
         sphere = icosphere(3)
