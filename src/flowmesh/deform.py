@@ -21,7 +21,9 @@ import numpy as np
 
 from .flow_field import (
     FlowField,
+    GridGeometry,
     StabilityEstimate,
+    TrilinearStencil,
     _as_point_array,
     sample_grid,
     stability_estimate,
@@ -176,14 +178,22 @@ def _finite_point_array(points) -> np.ndarray:
     return pts
 
 
+def euler_steps(geometry: GridGeometry, data64, x, steps: int, stencils=None) -> np.ndarray:
+    """The library's one Euler loop: the (N, 3) batch ``x`` after ``steps`` steps of size 1/steps
+    through the float64 node array ``data64``; each step's stencil is appended to ``stencils``."""
+    for _ in range(steps):
+        stencil = TrilinearStencil(geometry, x)
+        if stencils is not None:
+            stencils.append(stencil)
+        x = x + (1.0 / steps) * stencil.sample(data64)
+    return x
+
+
 def integrate(stage: DeformationStage, points, gate: GatePolicy = "strict") -> np.ndarray:
     """Advance each point of a finite (N, 3) batch independently by n Euler steps of size 1/n."""
     check_gate(stage.h, stage.stability, gate)
     x = _finite_point_array(points)
-    geometry, data64 = stage.field.geometry, stage.field.data64
-    for _ in range(stage.steps):
-        x = x + stage.h * sample_grid(geometry, data64, x)
-    return x
+    return euler_steps(stage.field.geometry, stage.field.data64, x, stage.steps)
 
 
 def invert_step(
@@ -194,7 +204,8 @@ def invert_step(
     Requires h * lipschitz_safe < 1 and a finite (N, 3) batch.  Each point
     iterates until its residual ||y - x - h*v(x)|| is within
     max(_TOL, 4 eps ||y||_inf) and is then frozen, so results do not depend on
-    how points are batched; after _MAX_ITER iterations InversionError is raised.
+    how points are batched; points still above it after _MAX_ITER iterations
+    raise InversionError with their worst residual.
     """
     if stability is None:
         stability = stability_estimate(field)
@@ -207,24 +218,19 @@ def invert_step(
     active = np.arange(len(ys))
     stop = np.maximum(_TOL, 4 * np.finfo(np.float64).eps * np.abs(ys).max(axis=1))
     geometry, data64 = field.geometry, field.data64
-    for _ in range(_MAX_ITER):
+    for iteration in range(_MAX_ITER + 1):  # the last evaluation only freezes or raises
         v = sample_grid(geometry, data64, x)
         residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
         done = residual <= stop[active]
         if done.any():
             result[active[done]] = x[done]
             keep = ~done
-            active = active[keep]
-            x = x[keep]
-            v = v[keep]
+            active, x, v, residual = active[keep], x[keep], v[keep], residual[keep]
             if len(active) == 0:
-                break
+                return result
+        if iteration == _MAX_ITER:
+            raise InversionError(float(residual.max()), _MAX_ITER)
         x = ys[active] - h * v
-    else:
-        v = sample_grid(geometry, data64, x)
-        residual = np.linalg.norm(ys[active] - x - h * v, axis=1)
-        raise InversionError(float(residual.max()), _MAX_ITER)
-    return result
 
 
 def integrate_inverse(stage: DeformationStage, points) -> np.ndarray:
@@ -249,15 +255,9 @@ def apply_chain(
     index of the offending stage.
     """
     vertices = mesh.vertices
-    stages = list(chain.stages)
-    if inverse:
-        stages = stages[::-1]
-        gate = "strict"
-    for position, stage in enumerate(stages):
-        index = len(stages) - 1 - position if inverse else position
-        check_gate(stage.h, stage.stability, gate, stage_index=index)
-        if inverse:
-            vertices = integrate_inverse(stage, vertices)
-        else:
-            vertices = integrate(stage, vertices, gate="off")
+    for index in reversed(range(len(chain))) if inverse else range(len(chain)):
+        stage = chain.stages[index]
+        check_gate(stage.h, stage.stability, "strict" if inverse else gate, stage_index=index)
+        vertices = (integrate_inverse(stage, vertices) if inverse
+                    else integrate(stage, vertices, gate="off"))
     return mesh.with_vertices(vertices)

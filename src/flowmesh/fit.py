@@ -31,6 +31,7 @@ from .deform import (
     _whole,
     apply_chain,
     check_gate,
+    euler_steps,
 )
 from .flow_field import (
     FlowField,
@@ -218,19 +219,13 @@ def forward_loss(
         raise ValueError(f"params shape {params.shape} does not match grid")
     params[_boundary_mask(geometry.dims)] = 0.0
 
-    h = 1.0 / problem.steps
     reuse = problem.integration is not None and np.array_equal(problem.integration[0], params)
-    stability = problem.integration[1] if reuse else stability_from_grid(geometry, params)
-    margin = check_gate(h, stability, problem.gate)  # on every pass, reused or not
-    if reuse:
-        _, _, step_stencils, deformed = problem.integration
-    else:
-        deformed = np.array(problem.start_vertices, dtype=np.float64)
-        step_stencils = []
-        for _ in range(problem.steps):
-            stencil = TrilinearStencil(geometry, deformed)
-            step_stencils.append(stencil)
-            deformed = deformed + h * stencil.sample(params)
+    _, stability, step_stencils, deformed = problem.integration if reuse else (
+        None, stability_from_grid(geometry, params), [], None)
+    margin = check_gate(1.0 / problem.steps, stability, problem.gate)  # reused or not
+    if not reuse:
+        deformed = euler_steps(geometry, params, problem.start_vertices, problem.steps,
+                               step_stencils)
 
     if draw is None:
         mesh = TriangleMesh(deformed, problem.faces)
@@ -361,10 +356,7 @@ def fit_stage(
     geometry = stage_grid_geometry(
         template, target, scfg.grid_dims, config.domain_radius
     )
-    if len(frozen):
-        start = apply_chain(frozen, template, gate=config.gate).vertices
-    else:
-        start = template.vertices
+    start = apply_chain(frozen, template, gate=config.gate).vertices
     edges = unique_edges(template.faces)
     target_areas = triangle_areas(target.vertices, target.faces)
 

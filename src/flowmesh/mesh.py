@@ -176,7 +176,7 @@ def midpoint_subdivide(mesh: TriangleMesh) -> TriangleMesh:
     # floating point welding.
     mid_index = mesh.vertex_count + side_edge.reshape(3, -1).T  # (F, 3): m01, m12, m20
 
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    midpoints = 0.5 * mesh.vertices[edges[:, 0]] + 0.5 * mesh.vertices[edges[:, 1]]  # no overflow
     vertices = np.concatenate([mesh.vertices, midpoints])
 
     v0, v1, v2 = faces[:, 0], faces[:, 1], faces[:, 2]
@@ -393,7 +393,10 @@ def load_obj(path) -> TriangleMesh:
 
 
 def store_obj(mesh: TriangleMesh, path) -> None:
-    """Write v/f records with 9-significant-digit coordinates, in one write."""
+    """Write v/f records with 9-significant-digit coordinates, in one write; non-finite
+    vertices, which :func:`load_obj` refuses, are refused before the file is opened."""
+    if not np.isfinite(mesh.vertices).all():
+        raise ValueError("cannot write non-finite vertex coordinates to OBJ")
     text = ("v %.9g %.9g %.9g\n" * mesh.vertex_count) % tuple(mesh.vertices.ravel().tolist())
     text += ("f %d %d %d\n" * mesh.face_count) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -245,6 +246,16 @@ class TestSubdivide:
         assert main(["subdivide", "--mesh", str(src), "--levels", "1", "--out", str(out)]) == 0
         report = topology_report(load_obj(out))
         assert (report.vertex_count, report.face_count) == (42, 80)
+
+    def test_near_the_largest_float_rereads(self, tmp_path):
+        src, out = tmp_path / "huge.obj", tmp_path / "sub.obj"
+        sphere = icosphere(2)
+        store_obj(sphere.with_vertices(sphere.vertices * 1e308), src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["subdivide", "--mesh", str(src), "--levels", "1", "--out", str(out)]) == 0
+        mesh = load_obj(out)
+        assert mesh.face_count == 1280 and np.abs(mesh.vertices).max() <= 1e308
 
     def test_non_manifold_exit_2(self, tmp_path):
         bad = tmp_path / "bad.obj"
@@ -516,6 +527,22 @@ class TestRefusedInput:
                      "--out", str(out)])
         assert code == 1
         assert "--levels must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_output_exit_1_before_writing(
+        self, tmp_path, sphere_obj, monkeypatch, capsys
+    ):
+        import flowmesh.cli
+
+        def poisoned(mesh):
+            return mesh.with_vertices(np.where(mesh.vertices > 0.9, np.inf, mesh.vertices))
+
+        monkeypatch.setattr(flowmesh.cli, "midpoint_subdivide", poisoned)
+        out = tmp_path / "sub.obj"
+        code = main(["subdivide", "--mesh", str(sphere_obj), "--levels", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write non-finite vertex coordinates to OBJ\n")
         assert not out.exists()
 
     def test_subdivide_too_many_faces_exit_2_before_building(
@@ -853,6 +880,27 @@ def test_benchmark_span_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_benchmark_count_functions_accept_library_signatures():
+    """Each count function of the span tracer accepts every call its library
+    function accepts: all parameters positionally, and the defaulted ones by keyword."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    checked = 0
+    for module, attr, _, count in spans.WRAPPED:
+        if count is None:
+            continue
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        required = [p for p in params.values() if p.default is p.empty]
+        defaulted = {p.name: p.default for p in params.values() if p.default is not p.empty}
+        counted = inspect.signature(count)
+        counted.bind(*params)  # TypeError names the mismatch
+        counted.bind(*[p.name for p in required], **defaulted)
+        checked += 1
+    assert checked
 
 
 def test_unused_library_imports_are_benchmark_span_targets():

@@ -181,6 +181,19 @@ class TestInvertStep:
         assert err.value.residual > 0
         assert err.value.max_iter == 2
 
+    def test_point_converging_on_the_last_evaluation_is_returned(self, monkeypatch):
+        # this point meets the 1e-12 tolerance on its 9th evaluation, after 8 updates
+        field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
+        y = np.array([[0.5, 0.5, 0.5]])
+        expected = invert_step(field, y, 0.25)
+        monkeypatch.setattr(deform, "_MAX_ITER", 8)
+        assert invert_step(field, y, 0.25).tobytes() == expected.tobytes()
+        monkeypatch.setattr(deform, "_MAX_ITER", 7)
+        with pytest.raises(InversionError) as err:
+            invert_step(field, y, 0.25)
+        assert err.value.residual > 1e-12
+        assert err.value.max_iter == 7
+
     def test_empty_batch_returns_at_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(deform, "sample_grid", lambda *args: calls.append(1))
@@ -333,6 +346,16 @@ class TestApplyChain:
         assert np.array_equal(chained, manual)
         swapped = apply_chain(DeformationChain((b, a)), mesh).vertices
         assert not np.allclose(chained, swapped)
+
+    def test_inverse_gate_error_reports_stage_index(self):
+        ok = DeformationStage(zero_field(), 2)
+        bad_field = make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=23, steps=4)
+        bad = DeformationStage(bad_field, 1)
+        chain = DeformationChain((bad, ok))
+        apply_chain(chain, icosphere(1), gate="off")  # the forward pass obeys the policy
+        with pytest.raises(GateViolationError) as err:
+            apply_chain(chain, icosphere(1), gate="off", inverse=True)
+        assert err.value.stage_index == 0
 
     def test_gate_error_reports_stage_index(self):
         ok = DeformationStage(zero_field(), 2)

@@ -24,6 +24,7 @@ from flowmesh import (
     fit_stage,
     forward_loss,
     icosphere,
+    integrate,
     store_obj,
 )
 from flowmesh import fit as fit_module
@@ -114,6 +115,16 @@ class TestForwardLoss:
             pred_cloud.points, problem.target_points, squared=True
         ) + problem.edge_weight * edge_loss(deformed)
         assert terms.total == pytest.approx(recomputed, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 8])
+    def test_deformed_vertices_are_integrate_bit_for_bit(self, steps):
+        template, _, problem = small_problem(seed=8, steps=steps)
+        params = random_interior_params(problem.geometry, seed=9)
+        field = FlowField(problem.geometry, params.astype(np.float32))
+        _, inter = forward_loss(field.data64, problem)
+        expected = integrate(DeformationStage(field, steps), template.vertices)
+        assert inter.deformed_vertices.tobytes() == expected.tobytes()
+        assert len(inter.step_stencils) == steps
 
     def test_strict_gate_violation_raises(self):
         from flowmesh import GateViolationError

@@ -436,6 +436,15 @@ def test_load_obj_rejects_non_finite_coordinates(tmp_path, coords):
         load_obj(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_store_obj_refuses_non_finite_vertices(tmp_path, value):
+    path = tmp_path / "nf.obj"
+    mesh = TriangleMesh([[0, 0, 0], [value, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match="non-finite"):
+        store_obj(mesh, path)
+    assert not path.exists()
+
+
 def reference_load_obj(path) -> TriangleMesh:
     """The line-by-line reader that load_obj replaced, kept as its oracle."""
     vertices: list[list[float]] = []
