@@ -9,6 +9,7 @@ error, 2 precondition/gate violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)  # deform, metrics and subdivide: refused before any work
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", out)
         return args.func(args)
     except (GateViolationError, NotWatertightError, NonManifoldEdgeError) as exc:
         _say(f"error: {exc}")
@@ -346,9 +350,6 @@ def main(argv=None) -> int:
     except (InversionError, FitDivergedError, VoxelizationError) as exc:
         _say(f"error: {exc}")
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        _say(f"error: missing input file: {exc.filename}")
-        return EXIT_INPUT
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT

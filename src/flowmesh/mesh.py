@@ -266,30 +266,29 @@ _COMMENT_LINE = re.compile(rb"^#[^\r\n]*(?:\n|\Z)", re.MULTILINE)
 
 
 def _record_values(section: bytes, key: bytes, alphabet: bytes, dtype) -> np.ndarray | None:
-    """The values of ``section`` when it is whole lines ``key a b c`` written
-    in ``alphabet`` alone, parsed as ``dtype``; otherwise None."""
+    """The (lines, 3) values of ``section`` when it is whole lines ``key a b c``
+    written in ``alphabet`` alone, parsed as ``dtype``; otherwise None."""
     if not section:
-        return np.empty(0, dtype)
+        return np.empty((0, 3), dtype)
     if section.translate(None, alphabet) or not section.endswith(b"\n"):
         return None
     lines = section.count(b"\n")
-    tokens = section.split()
-    # Every line after the first starts with the key byte, and the lone key
-    # token fills every 4th of 4 tokens per line.  A line's first token
-    # anywhere else would be parsed below as a value and fail, so each line
-    # is `key` and 3 values.
+    body = section.replace(key, b" ")
+    # Each key byte opens a line (after blanks on the first line only) and is
+    # followed by a blank, so blanking them leaves each line's values.
     if (
         section.count(b"\n" + key) != lines - 1
-        or len(tokens) != 4 * lines
-        or tokens[::4].count(key) != lines
+        or section.count(key + b" ") + section.count(key + b"\t") != lines
+        or section.count(key) != lines
+        or section[: section.find(key)].strip(b" \t")
+        or body.isspace()  # np.loadtxt would warn that it found no data
     ):
         return None
-    del tokens[::4]
-    try:
-        # numpy parses each bytes token with Python's own float() / int()
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):
+    try:  # numpy's C reader refuses bad tokens and ragged rows
+        values = np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
         return None
+    return values if values.shape == (lines, 3) else None
 
 
 def _plain_triangle_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -311,9 +310,7 @@ def _plain_triangle_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if vertices is None or not np.isfinite(vertices).all():
         return None
     faces = _record_values(data[split:], b"f", _FACE_ALPHABET, np.int64)
-    if faces is None:
-        return None
-    return vertices.reshape(-1, 3), faces.reshape(-1, 3) - 1
+    return None if faces is None else (vertices, faces - 1)
 
 
 def load_obj(path) -> TriangleMesh:

@@ -27,38 +27,37 @@ class SampledCloud:
         return len(self.points)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _draw_from_areas refuses them
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-face (b - a) x (c - a), twice the area along the face normal, and its norm,
-    except that both are 2**2k times too large on the faces ``tiny``: (cross, norm, tiny, k).
+    """Per-face (b - a) x (c - a), its norm and the face area: (cross, norm, area).
 
     Below a norm of 2**-400 the squares may underflow, so such a face is
     recomputed from its edge vectors scaled by the power of two 2**k that
-    brings their largest coordinate into [1, 2).  Its unit normal is divided
-    out at that scale; only its area is scaled back, exactly, by 2**-2k.
-    Every other face keeps its bits.
+    brings their largest coordinate into [1, 2).  Its cross and norm stay at
+    that scale, where its unit normal is divided out; only its area is scaled
+    back, exactly, by 2**-2k.  Every other face keeps its bits.
     """
-    corners = vertices[faces]
-    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    a = vertices[faces[:, 0]]  # (F, 3) gathers, not one (F, 3, 3) array: a lower peak
+    u, w = vertices[faces[:, 1]] - a, vertices[faces[:, 2]] - a
     cross = np.cross(u, w)
     norm = np.linalg.norm(cross, axis=1)
+    area = 0.5 * norm
     tiny = np.flatnonzero(norm < 2.0**-400)
     u, w = u[tiny], w[tiny]
     k = 1 - np.frexp(np.maximum(np.abs(u), np.abs(w)).max(axis=1))[1]
     if len(tiny):
         cross[tiny] = np.cross(np.ldexp(u, k[:, None]), np.ldexp(w, k[:, None]))
         norm[tiny] = np.linalg.norm(cross[tiny], axis=1)
-    return cross, norm, tiny, k
+        area[tiny] = 0.5 * np.ldexp(norm[tiny], -2 * k)
+    return cross, norm, area
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _draw_from_areas refuses them
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    _, norm, tiny, k = _face_cross(vertices, faces)
-    norm[tiny] = np.ldexp(norm[tiny], -2 * k)
-    return 0.5 * norm
+    return _face_cross(vertices, faces)[2]
 
 
 def face_unit_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    cross, norms, _, _ = _face_cross(vertices, faces)
+    cross, norms, _ = _face_cross(vertices, faces)
     norms[norms == 0.0] = 1.0
     return cross / norms[:, None]
 
@@ -103,9 +102,10 @@ def points_from_draw(
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> SampledCloud:
     """Area-uniform surface samples with per-point source-face unit normals."""
-    face_idx, bary = draw_surface_samples(mesh, n, seed)
+    cross, norms, areas = _face_cross(mesh.vertices, mesh.faces)
+    face_idx, bary = _draw_from_areas(areas, n, seed)
     points = points_from_draw(mesh.vertices, mesh.faces, face_idx, bary)
-    normals = face_unit_normals(mesh.vertices, mesh.faces)[face_idx]
+    normals = cross[face_idx] / norms[face_idx, None]  # drawn faces have areas > 0
     return SampledCloud(
         points=points,
         normals=normals,

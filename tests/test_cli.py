@@ -598,6 +598,33 @@ class TestRefusedInput:
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["metrics", "deform", "subdivide"])
+    def test_missing_out_directory_exit_1_before_loading(
+        self, tmp_path, sphere_obj, gated_flow, monkeypatch, capsys, command
+    ):
+        import flowmesh.cli
+
+        def refuse(*args):
+            raise AssertionError("mesh loaded")
+
+        monkeypatch.setattr(flowmesh.cli, "load_obj", refuse)
+        inputs = {
+            "metrics": ["--pred", str(sphere_obj), "--gt", str(sphere_obj)],
+            "deform": ["--mesh", str(sphere_obj), "--flow", str(gated_flow), "--steps", "8"],
+            "subdivide": ["--mesh", str(sphere_obj), "--levels", "1"],
+        }[command]
+        out = tmp_path / "missing" / "out"
+        code = main([command, *inputs, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_missing_input_file_exit_1(self, tmp_path, capsys):
+        mesh = tmp_path / "absent.obj"
+        code = main(["subdivide", "--mesh", str(mesh), "--levels", "1",
+                     "--out", str(tmp_path / "sub.obj")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{mesh}'\n"
+
     @pytest.mark.parametrize("scale, area", [(1e80, "inf"), (1e160, "nan")])
     def test_metrics_huge_coordinates_exit_1(self, tmp_path, capsys, scale, area):
         # the areas overflow (in the norm at 1e80, in the cross product at 1e160)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -681,6 +682,59 @@ class TestLoadObjMatchesReference:
         path = tmp_path_factory.mktemp("soup") / "soup.obj"
         path.write_bytes(text.encode("ascii"))
         assert_loads_like_reference(path)
+
+
+# Files whose keywords the vectorised pass must place exactly: each reaches
+# the line parser, with no warning from numpy's reader.
+KEYWORD_CASES = {
+    "value before the first keyword": b"0 v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "keyword glued to a value": b"v 0 0 v0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "face keyword glued to a value": TRIANGLE + b"f 1 2 f3\n",
+    "two keywords on a line, none on the next": b"v 0 v 0 0\n1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "keyword and a blank": b"v \n",
+    "keywords and blanks": b"v \t\nv  \nf \n",
+    "face keyword and blanks": TRIANGLE + b"f \t\n",
+    "one blank vertex line": b"v 0 0 0\nv \nv 0 1 0\nf 1 2 3\n",
+    "one blank face line": TRIANGLE + b"f 1 2 3\nf  \n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYWORD_CASES))
+def test_misplaced_keywords_go_to_the_line_parser(tmp_path, name):
+    assert _plain_triangle_arrays(KEYWORD_CASES[name]) is None
+    path = tmp_path / "case.obj"
+    path.write_bytes(KEYWORD_CASES[name])
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("exponent", [-320, -310, -300, -155, 0, 155, 300, 308])
+@pytest.mark.parametrize("commented_crlf", [False, True], ids=["plain", "commented-crlf"])
+def test_whatever_store_obj_writes_takes_the_vectorised_pass(tmp_path, exponent, commented_crlf):
+    # %.9g tokens at every scale: subnormals, e+308 and -0
+    base = icosphere(2)
+    path = tmp_path / "scaled.obj"
+    store_obj(base.with_vertices(base.vertices * float(f"1e{exponent}")), path)
+    data = path.read_bytes()
+    if commented_crlf:
+        data = b"# head\n" + data.replace(b"\nf", b"\n# faces\nf", 1) + b"# end\n"
+        data = data.replace(b"\n", b"\r\n")
+        path.write_bytes(data)
+    expected = reference_load_obj(path)
+    vertices, faces = _plain_triangle_arrays(data)
+    assert vertices.tobytes() == expected.vertices.tobytes()
+    assert faces.tobytes() == expected.faces.tobytes()
+
+
+def test_load_obj_peaks_at_a_small_multiple_of_the_file(tmp_path):
+    path = tmp_path / "ico5.obj"
+    store_obj(icosphere(5), path)
+    tracemalloc.start()
+    try:
+        load_obj(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
