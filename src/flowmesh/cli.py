@@ -12,6 +12,7 @@ import argparse
 import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -85,6 +86,18 @@ def _refuse_samples(count: int) -> bool:
         return False
     _say(f"error: {count} samples exceed {_MAX_SAMPLES} (2**22)")
     return True
+
+
+def _refuse_unwritable(out: Path) -> None:
+    """Raise, before any work, the error opening ``out`` for writing meets for
+    its place: the OS's own for an unreachable parent, ENOTDIR or EISDIR."""
+    try:
+        out.parent.stat()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
+    code = errno.EISDIR if out.is_dir() else 0 if out.parent.is_dir() else errno.ENOTDIR
+    if code:
+        raise OSError(code, os.strerror(code), str(out))
 
 
 def load_schema(name: str) -> dict:
@@ -340,9 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = getattr(args, "out", None)  # deform, metrics and subdivide: refused before any work
-        if out is not None and not Path(out).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "No such file or directory", out)
+        if getattr(args, "out", None) is not None:  # deform, metrics and subdivide
+            _refuse_unwritable(Path(args.out))
         return args.func(args)
     except (GateViolationError, NotWatertightError, NonManifoldEdgeError) as exc:
         _say(f"error: {exc}")

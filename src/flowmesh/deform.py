@@ -137,9 +137,6 @@ class DeformationChain:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def __iter__(self):
-        return iter(self.stages)
-
 
 def check_gate(
     h: float,

@@ -45,8 +45,8 @@ from .flow_field import (
 )
 from .mesh import TriangleMesh, midpoint_subdivide, unique_edges
 from .metrics.distances import CloudMatch, PointTree, match_clouds, mean_squared_edge_length
-from .metrics.sampling import _draw_from_areas, draw_surface_samples, points_from_draw
-from .metrics.sampling import sample_surface, triangle_areas
+from .metrics.sampling import _area_table, _draw_from_table, draw_surface_samples
+from .metrics.sampling import points_from_draw, sample_surface, triangle_areas
 
 MOMENTUM = 0.9
 
@@ -358,7 +358,7 @@ def fit_stage(
     )
     start = apply_chain(frozen, template, gate=config.gate).vertices
     edges = unique_edges(template.faces)
-    target_areas = triangle_areas(target.vertices, target.faces)
+    target_table = _area_table(triangle_areas(target.vertices, target.faces))
 
     params = np.zeros(geometry.dims + (3,), dtype=np.float64)
     velocity = np.zeros_like(params)
@@ -371,7 +371,7 @@ def fit_stage(
     for iteration in range(scfg.iterations):
         pred_seed = derive_seed(config.seed, stage_index, iteration, 0)
         target_seed = derive_seed(config.seed, stage_index, iteration, 1)
-        target_draw = _draw_from_areas(target_areas, config.sample_count, target_seed)
+        target_draw = _draw_from_table(target_table, config.sample_count, target_seed)
         problem = StageProblem(
             geometry=geometry,
             steps=scfg.steps,

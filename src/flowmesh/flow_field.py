@@ -130,11 +130,6 @@ class FlowField:
         """Float64 view of the node data used for all arithmetic."""
         return self._data64
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowField):
-            return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.data, other.data)
-
 
 def _as_point_array(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)

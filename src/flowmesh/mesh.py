@@ -228,10 +228,8 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 MAX_ICOSPHERE_LEVEL = 8
 
 
-def icosphere(
-    subdivision_level: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)
-) -> TriangleMesh:
-    """Genus-0 sphere mesh with 10 * 4**level + 2 vertices.
+def icosphere(subdivision_level: int) -> TriangleMesh:
+    """Genus-0 unit sphere mesh, centred at the origin, with 10 * 4**level + 2 vertices.
 
     Levels above MAX_ICOSPHERE_LEVEL are rejected as a resource guard.
     """
@@ -242,16 +240,13 @@ def icosphere(
         raise ValueError(
             f"subdivision level {level} exceeds guard {MAX_ICOSPHERE_LEVEL}"
         )
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     verts, faces = _icosahedron()
     mesh = TriangleMesh(verts, faces)
     for _ in range(level):
         mesh = midpoint_subdivide(mesh)
         unit = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
         mesh = mesh.with_vertices(unit)
-    center = np.asarray(center, dtype=np.float64)
-    return mesh.with_vertices(mesh.vertices * radius + center)
+    return mesh
 
 
 # Bytes a plain vertex or face section may hold: its keyword, the digits

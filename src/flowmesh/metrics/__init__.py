@@ -5,7 +5,6 @@ from .distances import (
     CloudMatch,
     chamfer,
     chamfer_normals,
-    edge_loss,
     hausdorff,
     match_clouds,
     mean_squared_edge_length,
@@ -16,7 +15,6 @@ from .report import MetricReport
 from .sampling import (
     SampledCloud,
     draw_surface_samples,
-    face_unit_normals,
     points_from_draw,
     sample_surface,
     triangle_areas,
@@ -41,8 +39,6 @@ __all__ = [
     "chamfer_normals",
     "dice",
     "draw_surface_samples",
-    "edge_loss",
-    "face_unit_normals",
     "hausdorff",
     "match_clouds",
     "mean_squared_edge_length",

@@ -1,4 +1,4 @@
-"""Point-cloud distance metrics and the mesh edge loss.
+"""Point-cloud distance metrics and the mean squared edge length.
 
 Nearest neighbours come from a k-d tree (exact query), but every reported
 distance is recomputed in plain numpy from the matched index pairs, so the
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..mesh import TriangleMesh, unique_edges
 from .sampling import SampledCloud
 
 
@@ -107,9 +106,9 @@ def match_clouds(a, b) -> CloudMatch:
     return CloudMatch.between(ta.data, tb.data, idx_ab, idx_ba)
 
 
-def chamfer(a, b, squared: bool = False) -> float:
+def chamfer(a, b) -> float:
     """Symmetric mean nearest-neighbour distance; see :meth:`CloudMatch.chamfer`."""
-    return match_clouds(a, b).chamfer(squared)
+    return match_clouds(a, b).chamfer()
 
 
 def hausdorff(a, b) -> float:
@@ -124,14 +123,7 @@ def chamfer_normals(a: SampledCloud, b: SampledCloud) -> float:
     return match_clouds(a, b).chamfer_normals(a.normals, b.normals)
 
 
-def edge_loss(mesh: TriangleMesh) -> float:
-    """Mean squared length over the mesh's undirected edges (target length 0)."""
-    edges = unique_edges(mesh.faces)
-    if len(edges) == 0:
-        raise ValueError("mesh has no edges")
-    return mean_squared_edge_length(mesh.vertices, edges)
-
-
 def mean_squared_edge_length(vertices: np.ndarray, edges: np.ndarray) -> float:
+    """Mean squared length of the given edges (the fit's edge term; target length 0)."""
     delta = vertices[edges[:, 0]] - vertices[edges[:, 1]]
     return float(np.mean((delta * delta).sum(axis=1)))

@@ -19,7 +19,6 @@ class SampledCloud:
 
     points: np.ndarray
     normals: np.ndarray
-    seed: int
     face_indices: np.ndarray
     barycentric: np.ndarray
 
@@ -27,7 +26,7 @@ class SampledCloud:
         return len(self.points)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _draw_from_areas refuses them
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _area_table refuses them
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-face (b - a) x (c - a), its norm and the face area: (cross, norm, area).
 
@@ -56,12 +55,6 @@ def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return _face_cross(vertices, faces)[2]
 
 
-def face_unit_normals(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    cross, norms, _ = _face_cross(vertices, faces)
-    norms[norms == 0.0] = 1.0
-    return cross / norms[:, None]
-
-
 def draw_surface_samples(
     mesh: TriangleMesh, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,21 +64,29 @@ def draw_surface_samples(
     trick maps two uniforms to barycentric coordinates that are uniform over
     the triangle.  Deterministic given the seed.
     """
-    return _draw_from_areas(triangle_areas(mesh.vertices, mesh.faces), n, seed)
+    return _draw_from_table(_area_table(triangle_areas(mesh.vertices, mesh.faces)), n, seed)
 
 
-def _draw_from_areas(areas: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """draw_surface_samples from given face areas, which a caller drawing
-    repeatedly from one fixed mesh computes once."""
-    if n < 1:
-        raise ValueError("sample count must be positive")
+def _area_table(areas: np.ndarray) -> np.ndarray:
+    """The table from which faces are drawn with probability proportional to
+    their areas: numpy's own ``Generator.choice(p=areas / total)`` table, which
+    a caller drawing repeatedly from one fixed surface builds once."""
     total = areas.sum()
     if len(areas) == 0 or total <= 0.0:
         raise ValueError("mesh has no face with positive area")
     if not np.isfinite(total):
         raise ValueError(f"surface area is {total}: the mesh coordinates are too large")
+    cdf = np.cumsum(areas / total)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_from_table(cdf: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """draw_surface_samples from an _area_table, indexed as ``rng.choice`` indexes it."""
+    if n < 1:
+        raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    face_idx = rng.choice(len(areas), size=n, p=areas / total)
+    face_idx = cdf.searchsorted(rng.random(n), side="right")
     u = rng.random(n)
     v = rng.random(n)
     su = np.sqrt(u)
@@ -103,13 +104,12 @@ def points_from_draw(
 def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> SampledCloud:
     """Area-uniform surface samples with per-point source-face unit normals."""
     cross, norms, areas = _face_cross(mesh.vertices, mesh.faces)
-    face_idx, bary = _draw_from_areas(areas, n, seed)
+    face_idx, bary = _draw_from_table(_area_table(areas), n, seed)
     points = points_from_draw(mesh.vertices, mesh.faces, face_idx, bary)
     normals = cross[face_idx] / norms[face_idx, None]  # drawn faces have areas > 0
     return SampledCloud(
         points=points,
         normals=normals,
-        seed=int(seed),
         face_indices=face_idx,
         barycentric=bary,
     )

@@ -57,16 +57,6 @@ class OccupancyGrid:
         s = int(self.supersample)
         return tuple((n - 1) * s for n in self.geometry.dims)
 
-    @property
-    def cell_volume(self) -> float:
-        s = int(self.supersample)
-        d = self.geometry.spacing
-        return (d[0] / s) * (d[1] / s) * (d[2] / s)
-
-    @property
-    def occupied_volume(self) -> float:
-        return float(self.occupied.sum()) * self.cell_volume
-
     def same_grid(self, other: "OccupancyGrid") -> bool:
         return self.geometry == other.geometry and self.supersample == other.supersample
 

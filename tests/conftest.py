@@ -10,7 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from flowmesh import FlowField, GridGeometry, enforce_zero_boundary, stability_estimate
+from flowmesh import FlowField, GridGeometry, enforce_zero_boundary, icosphere, stability_estimate
+from flowmesh import unique_edges
+from flowmesh.metrics import mean_squared_edge_length
+
+
+def scaled_icosphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
+    """icosphere(level) scaled by ``radius`` about the origin, then moved to ``center``."""
+    mesh = icosphere(level)
+    return mesh.with_vertices(mesh.vertices * radius + np.asarray(center, dtype=np.float64))
+
+
+def edge_loss(mesh):
+    """The fit's edge term of a whole mesh: mean squared length over its undirected edges."""
+    return mean_squared_edge_length(mesh.vertices, unique_edges(mesh.faces))
 
 
 def make_gated_field(dims, lower, upper, seed, steps, margin=0.5):

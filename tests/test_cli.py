@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -155,6 +156,24 @@ class TestMetrics:
         assert report["dice"] == 1.0
         assert report["volume_similarity"] == 1.0
         assert report["sif_count"] == 0
+
+    def test_report_keeps_its_bits(self, tmp_path):
+        # SHA-256 of the report but its paths, pinned with numpy 2.4.6 and scipy
+        # 1.17.1: sampling, the NN queries, the census and the voxelizer must keep
+        # these bits; another numpy or scipy build may round differently.
+        base = icosphere(4)
+        store_obj(base, tmp_path / "pred.obj")
+        store_obj(base.with_vertices(base.vertices * np.array([1.0, 0.8, 0.65])), tmp_path / "gt.obj")
+        out = tmp_path / "report.json"
+        code = main(["metrics", "--pred", str(tmp_path / "pred.obj"),
+                     "--gt", str(tmp_path / "gt.obj"), "--samples", "5000", "--seed", "0",
+                     "--voxel-dims", "17", "17", "17", "--voxel-spacing", "0.15", "0.15", "0.15",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        del report["pred_path"], report["gt_path"]
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == "7962a3f217908f897b40403903c7ab3cdd3b8d138f47a601c439e47b8d333db8"
 
     def test_scaled_sphere_chamfer(self, tmp_path):
         inner = tmp_path / "inner.obj"
@@ -598,10 +617,9 @@ class TestRefusedInput:
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["metrics", "deform", "subdivide"])
-    def test_missing_out_directory_exit_1_before_loading(
-        self, tmp_path, sphere_obj, gated_flow, monkeypatch, capsys, command
-    ):
+    @staticmethod
+    def run_refusing_to_load(monkeypatch, command, sphere_obj, gated_flow, out):
+        """Exit code of ``command`` writing ``out``, which must not read a mesh."""
         import flowmesh.cli
 
         def refuse(*args):
@@ -613,10 +631,29 @@ class TestRefusedInput:
             "deform": ["--mesh", str(sphere_obj), "--flow", str(gated_flow), "--steps", "8"],
             "subdivide": ["--mesh", str(sphere_obj), "--levels", "1"],
         }[command]
+        return main([command, *inputs, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["metrics", "deform", "subdivide"])
+    def test_missing_out_directory_exit_1_before_loading(
+        self, tmp_path, sphere_obj, gated_flow, monkeypatch, capsys, command
+    ):
         out = tmp_path / "missing" / "out"
-        code = main([command, *inputs, "--out", str(out)])
-        assert code == 1
+        assert self.run_refusing_to_load(monkeypatch, command, sphere_obj, gated_flow, out) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize("place", ["directory", "under_a_file"])
+    @pytest.mark.parametrize("command", ["metrics", "deform", "subdivide"])
+    def test_unwritable_out_exit_1_before_loading(
+        self, tmp_path, sphere_obj, gated_flow, monkeypatch, capsys, command, place
+    ):
+        # the errors open() gives for these paths, but before any mesh is read
+        if place == "directory":
+            out, error = tmp_path / "a_directory", "[Errno 21] Is a directory"
+            out.mkdir()
+        else:
+            out, error = sphere_obj / "out", "[Errno 20] Not a directory"
+        assert self.run_refusing_to_load(monkeypatch, command, sphere_obj, gated_flow, out) == 1
+        assert capsys.readouterr().err == f"error: {error}: '{out}'\n"
 
     def test_missing_input_file_exit_1(self, tmp_path, capsys):
         mesh = tmp_path / "absent.obj"
@@ -959,3 +996,31 @@ def test_unused_library_imports_are_benchmark_span_targets():
     # and fit.sample_surface; a shorter WRAPPED list turns them into failures
     assert unused
     assert [f"{m}.{n}" for m, n in unused if (m, n) not in wrapped] == []
+
+
+def _names_read(node, inside=()):
+    """Names a module's code reads, as a name or an attribute, each outside
+    the function or class definitions of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside += (node.name,)
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if isinstance(name, str) and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child, inside)
+
+
+def test_exported_names_are_read_by_the_library_or_the_benchmark():
+    """Every name flowmesh and flowmesh.metrics export is read by code under
+    src/flowmesh or perfbench, not only by tests; otherwise it is a test-only
+    path to delete.  Imports and export lists are not reads."""
+    import flowmesh
+    import flowmesh.metrics
+
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "flowmesh").rglob("*.py"), *(root / "perfbench").glob("*.py")]
+    read = set()
+    for path in paths:
+        read.update(_names_read(ast.parse(path.read_text(encoding="utf-8"))))
+    exported = set(flowmesh.__all__) | set(flowmesh.metrics.__all__)
+    assert sorted(exported - read) == []

@@ -20,7 +20,7 @@ from flowmesh import (
 )
 from flowmesh.flow_field import sample_grid
 
-from conftest import expm_oracle, linear_field, make_gated_field
+from conftest import expm_oracle, linear_field, make_gated_field, scaled_icosphere
 
 
 def zero_field(dims=(4, 4, 4), lower=(0, 0, 0), spacing=(1, 1, 1)):
@@ -306,7 +306,7 @@ class TestApplyChain:
         assert np.array_equal(out.faces, mesh.faces)
 
     def test_zero_stage_unchanged(self):
-        mesh = icosphere(2, radius=0.4, center=(2, 2, 2))
+        mesh = scaled_icosphere(2, radius=0.4, center=(2, 2, 2))
         chain = DeformationChain((DeformationStage(zero_field(), 3),))
         out = apply_chain(chain, mesh)
         assert np.array_equal(out.vertices, mesh.vertices)
@@ -340,7 +340,7 @@ class TestApplyChain:
         ]
         a = DeformationStage(fields[0], 6)
         b = DeformationStage(fields[1], 6)
-        mesh = icosphere(2, radius=0.8)
+        mesh = scaled_icosphere(2, radius=0.8)
         chained = apply_chain(DeformationChain((a, b)), mesh).vertices
         manual = integrate(b, integrate(a, mesh.vertices))
         assert np.array_equal(chained, manual)
@@ -460,7 +460,7 @@ class TestNonFiniteInput:
             invert_step(field, np.array([[0.5, np.nan, 0.5]]), 0.25)
 
     def test_apply_chain_refuses_nan_vertices(self):
-        mesh = icosphere(1, radius=0.3, center=(0.5, 0.5, 0.5))
+        mesh = scaled_icosphere(1, radius=0.3, center=(0.5, 0.5, 0.5))
         vertices = mesh.vertices.copy()
         vertices[0, 0] = np.nan
         stage = DeformationStage(

@@ -37,15 +37,15 @@ from flowmesh.fit import (
 )
 from flowmesh.flow_field import TrilinearStencil, _boundary_mask
 from flowmesh.mesh import unique_edges
-from flowmesh.metrics import chamfer, distances, edge_loss, match_clouds, sample_surface
+from flowmesh.metrics import chamfer, distances, match_clouds, sample_surface
 from flowmesh.metrics.distances import CloudMatch, mean_squared_edge_length
 
-from conftest import stencil_formulas
+from conftest import edge_loss, scaled_icosphere, stencil_formulas
 
 
 def small_problem(seed=0, steps=2, samples=64, w_edge=1.0, grid=(5, 5, 5)):
-    template = icosphere(0, radius=0.5)
-    target = icosphere(0, radius=0.7)
+    template = scaled_icosphere(0, radius=0.5)
+    target = scaled_icosphere(0, radius=0.7)
     geometry = stage_grid_geometry(template, target, grid, 1.5)
     target_cloud = sample_surface(target, samples, seed=seed + 1000)
     problem = StageProblem(
@@ -77,7 +77,7 @@ class TestForwardLoss:
         terms, inter = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
         # current stage is the identity: predicted samples come from the template
         pred_cloud = sample_surface(template, problem.sample_count, problem.sample_seed)
-        expected = chamfer(pred_cloud.points, problem.target_points, squared=True)
+        expected = match_clouds(pred_cloud.points, problem.target_points).chamfer(squared=True)
         assert terms.total == expected
         assert terms.edge_term == edge_loss(template)  # reported even at weight 0
 
@@ -111,9 +111,9 @@ class TestForwardLoss:
         stage = DeformationStage(FlowField(geometry, params.astype(np.float32)), 3)
         deformed = apply_chain(DeformationChain((stage,)), template)
         pred_cloud = sample_surface(deformed, problem.sample_count, problem.sample_seed)
-        recomputed = problem.chamfer_weight * chamfer(
-            pred_cloud.points, problem.target_points, squared=True
-        ) + problem.edge_weight * edge_loss(deformed)
+        recomputed = problem.chamfer_weight * match_clouds(
+            pred_cloud.points, problem.target_points
+        ).chamfer(squared=True) + problem.edge_weight * edge_loss(deformed)
         assert terms.total == pytest.approx(recomputed, abs=1e-12)
 
     @pytest.mark.parametrize("steps", [1, 8])
@@ -211,7 +211,7 @@ class TestBackward:
         assert not grad[_boundary_mask(problem.geometry.dims)].any()
 
     def test_zero_gradient_when_mesh_outside_grid(self):
-        template = icosphere(0, radius=0.5)
+        template = scaled_icosphere(0, radius=0.5)
         geometry = GridGeometry((4, 4, 4), (100.0, 100.0, 100.0), (1.0, 1.0, 1.0))
         problem = StageProblem(
             geometry=geometry,
@@ -282,14 +282,14 @@ class TestBackwardReference:
 
     @staticmethod
     def problem(steps, edge_weight):
-        template = icosphere(1, radius=0.6)
+        template = scaled_icosphere(1, radius=0.6)
         geometry = GridGeometry((6, 5, 7), (-0.5, -0.7, -0.45), (0.2, 0.3, 0.15))
         start = template.vertices.copy()
         upper = geometry.upper
         for axis in range(3):  # vertices on each upper face, others past it
             start[axis * 3:(axis + 1) * 3, axis] = upper[axis]
         start[9] = upper
-        target = icosphere(2, radius=0.7)
+        target = scaled_icosphere(2, radius=0.7)
         return StageProblem(
             geometry=geometry,
             steps=steps,
@@ -382,7 +382,7 @@ class TestFitStage:
         # Every intermediate stays finite, but the weighted total overflows
         # on the first evaluation.
         template = icosphere(0)
-        target = icosphere(0, center=(1e100, 0.0, 0.0))
+        target = scaled_icosphere(0, center=(1e100, 0.0, 0.0))
         cfg = self.config(iterations=5, chamfer_weight=1e120)
         with pytest.raises(FitDivergedError) as err:
             fit_stage(cfg, 0, DeformationChain(), template, target)
@@ -493,8 +493,8 @@ class TestFitPipeline:
 
     def test_emitted_chain_lives_in_original_coordinates(self):
         center = np.array([10.0, -4.0, 2.0])
-        template = icosphere(1, radius=3.0, center=center)
-        base = icosphere(2, radius=3.0, center=center)
+        template = scaled_icosphere(1, radius=3.0, center=center)
+        base = scaled_icosphere(2, radius=3.0, center=center)
         target = base.with_vertices((base.vertices - center) * np.array([1.1, 0.9, 1.0]) + center)
         # edge weight off: the 42-vertex template's long edges would otherwise
         # dominate the loss and legitimately contract the mesh
@@ -753,6 +753,12 @@ class TestFitWork:
         assert len(totals) == 2 * iterations
         assert len(stencils) == steps * (iterations + 1)
         assert len(stabilities) == iterations + 1  # the reused pass reuses it too
+
+    def test_target_area_table_is_built_once_per_stage(self, monkeypatch):
+        tables = count_calls(monkeypatch, fit_module, "_area_table")
+        draws = count_calls(monkeypatch, fit_module, "_draw_from_table")
+        fit_stage(self.config(10), 0, DeformationChain(), icosphere(2), ellipsoid(3))
+        assert (len(tables), len(draws)) == (1, 10)
 
     def test_match_clouds_builds_one_tree_per_cloud(self, monkeypatch):
         trees = count_calls(monkeypatch, distances.PointTree, "__init__")

@@ -20,6 +20,8 @@ from flowmesh import (
 )
 from flowmesh.mesh import _edge_table, _plain_triangle_arrays
 
+from conftest import scaled_icosphere
+
 
 def single_triangle():
     return TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
@@ -66,11 +68,9 @@ class TestIcosphere:
         assert mesh.face_count == 20 * 4**level
         assert topology_report(mesh).genus == 0
 
-    def test_radius_and_center(self):
-        center = np.array([1.0, -2.0, 0.5])
-        mesh = icosphere(3, radius=2.5, center=center)
-        radii = np.linalg.norm(mesh.vertices - center, axis=1)
-        assert np.allclose(radii, 2.5, rtol=1e-9)
+    def test_unit_radius_about_the_origin(self):
+        radii = np.linalg.norm(icosphere(3).vertices, axis=1)
+        assert np.allclose(radii, 1.0, rtol=1e-15, atol=0.0)
 
     def test_outward_winding(self):
         mesh = icosphere(2)
@@ -147,7 +147,7 @@ class TestMidpointSubdivide:
 class TestTopologyReport:
     def test_two_disjoint_icosahedra(self):
         a = icosphere(0)
-        b = icosphere(0, center=(10, 0, 0))
+        b = scaled_icosphere(0, center=(10, 0, 0))
         merged = TriangleMesh(
             np.vstack([a.vertices, b.vertices]),
             np.vstack([a.faces, b.faces + a.vertex_count]),
@@ -357,7 +357,7 @@ class TestEdgeTable:
 
 class TestObjIO:
     def test_round_trip(self, tmp_path):
-        mesh = icosphere(1, radius=1.7, center=(0.3, -0.2, 0.9))
+        mesh = scaled_icosphere(1, radius=1.7, center=(0.3, -0.2, 0.9))
         path = tmp_path / "sphere.obj"
         store_obj(mesh, path)
         loaded = load_obj(path)
@@ -614,7 +614,7 @@ class TestLoadObjMatchesReference:
     @pytest.mark.parametrize("level", [0, 2])
     def test_written_meshes(self, tmp_path, level):
         path = tmp_path / "sphere.obj"
-        store_obj(icosphere(level, radius=1.3, center=(0.1, -2.0, 1e-7)), path)
+        store_obj(scaled_icosphere(level, radius=1.3, center=(0.1, -2.0, 1e-7)), path)
         assert_loads_like_reference(path)
 
     def test_plain_files_take_the_vectorised_pass(self, tmp_path):
@@ -770,7 +770,8 @@ class TestStoreObjBytes:
         assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
 
     def test_icosphere_6(self, tmp_path):
-        self._assert_same_bytes(tmp_path, icosphere(6, radius=0.7, center=(1.0, -3.0, 2.5)))
+        sphere = scaled_icosphere(6, radius=0.7, center=(1.0, -3.0, 2.5))
+        self._assert_same_bytes(tmp_path, sphere)
 
     def test_extreme_values(self, tmp_path):
         rows = [
