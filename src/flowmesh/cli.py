@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .deform import (
+    _GATE_POLICIES,
     DeformationChain,
     DeformationStage,
     GateViolationError,
@@ -32,7 +33,7 @@ from .fit import FitConfig, FitDivergedError, fit_pipeline
 from .flow_field import (
     GridGeometry,
     load_flow,
-    stability_estimate,
+    stability_estimate,  # unused here; perfbench/spans.py wraps it
     store_flow,
 )
 from .mesh import (
@@ -80,24 +81,31 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _refuse_samples(count: int) -> bool:
-    """Say why and return True when ``count`` samples exceed _MAX_SAMPLES."""
-    if count <= _MAX_SAMPLES:
-        return False
-    _say(f"error: {count} samples exceed {_MAX_SAMPLES} (2**22)")
-    return True
+class _CapExceeded(Exception):
+    """An input past one of the CLI's size caps; ``main`` prints it and exits 2."""
 
 
-def _refuse_unwritable(out: Path) -> None:
-    """Raise, before any work, the error opening ``out`` for writing meets for
-    its place: the OS's own for an unreachable parent, ENOTDIR or EISDIR."""
+def _cap(fits: bool, message: str) -> None:
+    """Refuse the command with ``message`` unless the input ``fits`` its cap."""
+    if not fits:
+        raise _CapExceeded(message)
+
+
+def _refuse_unwritable(out: str) -> None:
+    """Raise, before any work, the error ``open(out, "w")`` meets for the place
+    the string ``out`` names: the OS's own for an empty path or an unreachable
+    parent, ENOTDIR for a parent that is a file, EISDIR for a directory or a
+    name ending in a separator."""
+    name = out.rstrip(os.sep) or out  # "/" names the root
+    parent = os.path.dirname(name) or ("." if out else "")  # os.stat("") fails: ENOENT
     try:
-        out.parent.stat()
+        os.stat(parent)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(out)) from None
-    code = errno.EISDIR if out.is_dir() else 0 if out.parent.is_dir() else errno.ENOTDIR
+        raise OSError(exc.errno, exc.strerror, out) from None
+    code = (errno.ENOTDIR if not os.path.isdir(parent)
+            else errno.EISDIR if name != out or os.path.isdir(out) else 0)
     if code:
-        raise OSError(code, os.strerror(code), str(out))
+        raise OSError(code, os.strerror(code), out)
 
 
 def load_schema(name: str) -> dict:
@@ -135,14 +143,13 @@ def cmd_metrics(args) -> int:
         raise ValueError("--voxel-origin needs --voxel-dims and --voxel-spacing")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    if _refuse_samples(args.samples):  # zero and negative counts are refused later, exit 1
-        return EXIT_PRECONDITION
+    _cap(args.samples <= _MAX_SAMPLES,  # zero and negative counts are refused later, exit 1
+         f"{args.samples} samples exceed {_MAX_SAMPLES} (2**22)")
     if args.voxel_dims is not None:
         s = max(args.voxel_supersample, 0)  # invalid values are refused later, exit 1
         cells = math.prod(max(n - 1, 0) * s for n in args.voxel_dims)
-        if cells > _MAX_VOXEL_CELLS:
-            _say(f"error: {cells} supersampled voxel cells exceed {_MAX_VOXEL_CELLS} (512**3)")
-            return EXIT_PRECONDITION
+        _cap(cells <= _MAX_VOXEL_CELLS,
+             f"{cells} supersampled voxel cells exceed {_MAX_VOXEL_CELLS} (512**3)")
     pred = load_obj(args.pred)
     gt = load_obj(args.gt)
     pred_cloud = sample_surface(pred, args.samples, args.seed)
@@ -197,15 +204,14 @@ def cmd_fit(args) -> int:
             config = FitConfig.from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if _refuse_samples(config.sample_count):
-        return EXIT_PRECONDITION
+    _cap(config.sample_count <= _MAX_SAMPLES,
+         f"{config.sample_count} samples exceed {_MAX_SAMPLES} (2**22)")
     nodes = math.prod(config.stages[-1].grid_dims)  # the finest grid: stages go coarse to fine
-    if nodes > _MAX_GRID_NODES:
-        _say(f"error: {nodes} fit grid nodes exceed {_MAX_GRID_NODES} (2**22)")
-        return EXIT_PRECONDITION
+    _cap(nodes <= _MAX_GRID_NODES, f"{nodes} fit grid nodes exceed {_MAX_GRID_NODES} (2**22)")
     template = load_obj(args.template)
-    if _refuse_subdivision(template.face_count, config.stages[-1].template_subdivision_level):
-        return EXIT_PRECONDITION
+    faces, levels = template.face_count, config.stages[-1].template_subdivision_level
+    _cap(_subdivision_fits(faces, levels), f"{faces} faces subdivided {levels} times exceed "
+         f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})")
     target = load_obj(args.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,7 +230,7 @@ def cmd_fit(args) -> int:
             {
                 "flow_file": flow_name,
                 "steps": stage.steps,
-                "template_subdivision_level": result.template_levels[i],
+                "template_subdivision_level": config.stages[i].template_subdivision_level,
             }
         )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -251,23 +257,13 @@ def _subdivision_fits(face_count: int, levels: int) -> bool:
     return face_count <= _MAX_SUBDIVIDED_FACES >> (2 * levels)
 
 
-def _refuse_subdivision(face_count: int, levels: int) -> bool:
-    """Say why and return True when the subdivided mesh would not fit."""
-    if _subdivision_fits(face_count, levels):
-        return False
-    _say(
-        f"error: {face_count} faces subdivided {levels} times exceed "
-        f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})"
-    )
-    return True
-
-
 def cmd_subdivide(args) -> int:
     if args.levels < 0:
         raise ValueError(f"--levels must be non-negative, got {args.levels}")
     mesh = load_obj(args.mesh)
-    if _refuse_subdivision(mesh.face_count, args.levels):
-        return EXIT_PRECONDITION
+    _cap(_subdivision_fits(mesh.face_count, args.levels),
+         f"{mesh.face_count} faces subdivided {args.levels} times exceed "
+         f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})")
     for _ in range(args.levels):
         mesh = midpoint_subdivide(mesh)
     store_obj(mesh, args.out)
@@ -281,9 +277,8 @@ def cmd_subdivide(args) -> int:
 
 def cmd_check(args) -> int:
     field = load_flow(args.flow)
-    stability = stability_estimate(field)
-    stage = DeformationStage(field, args.steps, stability)
-    h = stage.h
+    stage = DeformationStage(field, args.steps)
+    stability, h = stage.stability, stage.h
     basic_gate = h * stability.lipschitz <= 1.0  # report only
     safe_gate = stage.gate_ok
     _say(f"L={stability.lipschitz:.9g}")
@@ -310,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--flow", action="append", required=True, metavar="DFF1")
     p.add_argument("--steps", action="append", required=True, type=int)
-    p.add_argument("--gate", choices=["strict", "warn", "off"], default="strict",
+    p.add_argument("--gate", choices=_GATE_POLICIES, default="strict",
                    help="gate policy for forward deformation; --inverse needs strict")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out", required=True)
@@ -354,9 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "out", None) is not None:  # deform, metrics and subdivide
-            _refuse_unwritable(Path(args.out))
+            _refuse_unwritable(args.out)
         return args.func(args)
-    except (GateViolationError, NotWatertightError, NonManifoldEdgeError) as exc:
+    except (_CapExceeded, GateViolationError, NotWatertightError, NonManifoldEdgeError) as exc:
         _say(f"error: {exc}")
         return EXIT_PRECONDITION
     except (InversionError, FitDivergedError, VoxelizationError) as exc:

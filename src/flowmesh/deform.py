@@ -15,7 +15,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .mesh import TriangleMesh
 
 GatePolicy = Literal["strict", "warn", "off"]
 
-_GATE_POLICIES = ("strict", "warn", "off")
+_GATE_POLICIES = get_args(GatePolicy)
 _TOL = 1e-12  # invert_step's residual tolerance while ||y||_inf <= _TOL / (4 eps), ~1,126
 _MAX_ITER = 100  # invert_step's iteration budget per call
 
@@ -104,12 +104,11 @@ class DeformationStage:
 
     field: FlowField
     steps: int
-    stability: StabilityEstimate = dataclass_field(default=None)  # type: ignore[assignment]
+    stability: StabilityEstimate = dataclass_field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _whole("steps", self.steps, 1))
-        if self.stability is None:
-            object.__setattr__(self, "stability", stability_estimate(self.field))
+        object.__setattr__(self, "stability", stability_estimate(self.field))
 
     @property
     def h(self) -> float:

@@ -428,7 +428,6 @@ class FitResult:
     chain: DeformationChain
     traces: tuple[tuple[LossReport, ...], ...]
     final_mesh: TriangleMesh
-    template_levels: tuple[int, ...] = dataclass_field(default=())
 
 
 def unit_ball_transform(*vertex_arrays) -> tuple[np.ndarray, float]:
@@ -492,9 +491,4 @@ def fit_pipeline(
     for _ in range(levels[-1]):
         final_template = midpoint_subdivide(final_template)
     final_mesh = apply_chain(chain, final_template, gate=config.gate)
-    return FitResult(
-        chain=chain,
-        traces=tuple(traces),
-        final_mesh=final_mesh,
-        template_levels=levels,
-    )
+    return FitResult(chain=chain, traces=tuple(traces), final_mesh=final_mesh)

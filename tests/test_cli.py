@@ -641,19 +641,52 @@ class TestRefusedInput:
         assert self.run_refusing_to_load(monkeypatch, command, sphere_obj, gated_flow, out) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
-    @pytest.mark.parametrize("place", ["directory", "under_a_file"])
+    @pytest.mark.parametrize("place", ["directory", "under_a_file", "new_name_and_separator",
+                                       "empty", "missing_directory_and_separator"])
     @pytest.mark.parametrize("command", ["metrics", "deform", "subdivide"])
     def test_unwritable_out_exit_1_before_loading(
         self, tmp_path, sphere_obj, gated_flow, monkeypatch, capsys, command, place
     ):
-        # the errors open() gives for these paths, but before any mesh is read
-        if place == "directory":
-            out, error = tmp_path / "a_directory", "[Errno 21] Is a directory"
-            out.mkdir()
-        else:
-            out, error = sphere_obj / "out", "[Errno 20] Not a directory"
+        # the errors open() gives for these paths, but before any mesh is read;
+        # the last three are strings, where a Path would drop the trailing
+        # separator and read "" as "."
+        (tmp_path / "a_directory").mkdir()
+        out, error = {
+            "directory": (tmp_path / "a_directory", "[Errno 21] Is a directory"),
+            "under_a_file": (sphere_obj / "out", "[Errno 20] Not a directory"),
+            "new_name_and_separator": (f"{tmp_path}/new_name/", "[Errno 21] Is a directory"),
+            "empty": ("", "[Errno 2] No such file or directory"),
+            "missing_directory_and_separator": (
+                f"{tmp_path}/missing/x/", "[Errno 2] No such file or directory"),
+        }[place]
         assert self.run_refusing_to_load(monkeypatch, command, sphere_obj, gated_flow, out) == 1
         assert capsys.readouterr().err == f"error: {error}: '{out}'\n"
+
+    @pytest.mark.parametrize("out", [
+        "", ".", "./", "/", "//", "adir", "adir/", "adir//", "afile/", "afile/x", "afile/x/",
+        "afile/x/y", "new/", "new//", "missing/x", "missing/x/", "missing/x/y", "adir/../afile/",
+    ])
+    def test_unwritable_out_refusal_is_opens_error(self, tmp_path, monkeypatch, out):
+        from flowmesh.cli import _refuse_unwritable
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").touch()
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        with pytest.raises(OSError) as refused:
+            _refuse_unwritable(out)
+        assert (refused.value.errno, refused.value.filename, str(refused.value)) == (
+            opened.value.errno, opened.value.filename, str(opened.value))
+
+    @pytest.mark.parametrize("out", ["new", "adir/new", "./new", "adir/../new"])
+    def test_writable_out_passes(self, tmp_path, monkeypatch, out):
+        from flowmesh.cli import _refuse_unwritable
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        _refuse_unwritable(out)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir"]
 
     def test_missing_input_file_exit_1(self, tmp_path, capsys):
         mesh = tmp_path / "absent.obj"
@@ -992,8 +1025,8 @@ def test_unused_library_imports_are_benchmark_span_targets():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(module, name) for name in sorted(imported - used)]
-    # today: cli.chamfer, cli.hausdorff, cli.chamfer_normals, fit.sample_grid
-    # and fit.sample_surface; a shorter WRAPPED list turns them into failures
+    # today: cli.chamfer, cli.hausdorff, cli.chamfer_normals, cli.stability_estimate,
+    # fit.sample_grid and fit.sample_surface; a shorter WRAPPED list turns them into failures
     assert unused
     assert [f"{m}.{n}" for m, n in unused if (m, n) not in wrapped] == []
 
@@ -1024,3 +1057,24 @@ def test_exported_names_are_read_by_the_library_or_the_benchmark():
         read.update(_names_read(ast.parse(path.read_text(encoding="utf-8"))))
     exported = set(flowmesh.__all__) | set(flowmesh.metrics.__all__)
     assert sorted(exported - read) == []
+
+
+def test_main_alone_turns_refusals_into_exit_codes():
+    """Commands raise; only main maps an exception to an exit code and prints
+    its `error:` line.  cmd_check's exit 2 is its report of a failed gate."""
+    path = Path(__file__).resolve().parents[1] / "src" / "flowmesh" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    precondition_readers, error_sayers = set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id == "EXIT_PRECONDITION":
+                precondition_readers.add(function.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_say":
+                text = node.args[0]
+                first = text.values[0] if isinstance(text, ast.JoinedStr) else text
+                if isinstance(first, ast.Constant) and str(first.value).startswith("error:"):
+                    error_sayers.add(function.name)
+    assert precondition_readers == {"main", "cmd_check"}
+    assert error_sayers == {"main"}

@@ -405,7 +405,6 @@ class TestFitPipeline:
         _, trace = fit_stage(cfg, 0, DeformationChain(), t_norm, s_norm)
         assert list(result.traces[0]) == trace
         assert len(result.chain) == 1
-        assert result.template_levels == (0,)
 
     def test_subdivision_levels_applied(self):
         template = icosphere(1)
@@ -420,7 +419,6 @@ class TestFitPipeline:
             seed=2,
         )
         result = fit_pipeline(cfg, template, target)
-        assert result.template_levels == (0, 1)
         # final mesh carries the subdivided template's connectivity
         from flowmesh import midpoint_subdivide
 
@@ -447,7 +445,6 @@ class TestFitPipeline:
             sample_count=50,
         )
         result = fit_pipeline(cfg, template, target)
-        assert result.template_levels == (0, 1, 1)
         assert fitted_on == [20, 80, 80]
         from flowmesh import midpoint_subdivide
 
@@ -484,7 +481,7 @@ class TestFitPipeline:
         values = []
         for upto in range(1, 4):
             tmpl = template
-            for _ in range(result.template_levels[upto - 1]):
+            for _ in range(cfg.stages[upto - 1].template_subdivision_level):
                 tmpl = midpoint_subdivide(tmpl)
             partial = DeformationChain(result.chain.stages[:upto])
             values.append(measure(apply_chain(partial, tmpl)))
