@@ -45,16 +45,15 @@ from .mesh import (
     topology_report,
 )
 from .metrics import (
-    MetricReport,
     NotWatertightError,
     VoxelizationError,
-    chamfer,  # unused here; perfbench/spans.py wraps these three by name
-    chamfer_normals,
+    chamfer,  # unused here, as are chamfer_normals and hausdorff;
+    chamfer_normals,  # perfbench/spans.py wraps all three by name
+    dice,
     hausdorff,
     match_clouds,
     sample_surface,
     self_intersecting_faces,
-    dice as dice_score,
     volume_similarity,
     voxelize,
 )
@@ -169,25 +168,30 @@ def cmd_metrics(args) -> int:
             raise ValueError(f"voxel grid: {exc}") from exc
         occ_pred = voxelize(pred, geometry, args.voxel_supersample)
         occ_gt = voxelize(gt, geometry, args.voxel_supersample)
-        dice_value = dice_score(occ_pred, occ_gt)
+        dice_value = dice(occ_pred, occ_gt)
         vs_value = volume_similarity(occ_pred, occ_gt)
     match = match_clouds(pred_cloud, gt_cloud)
-    report = MetricReport(
-        chamfer=match.chamfer(),
-        hausdorff=match.hausdorff(),
-        chamfer_normals=match.chamfer_normals(pred_cloud.normals, gt_cloud.normals),
-        sif_count=sif_count,
-        sif_percent=sif_percent,
-        dice=dice_value,
-        volume_similarity=vs_value,
-        sample_count=args.samples,
-        seed=args.seed,
-        pred_path=str(args.pred),
-        gt_path=str(args.gt),
-    )
-    report.write_json(args.out)
+    _write_json(args.out, {
+        "chamfer": match.chamfer(),
+        "hausdorff": match.hausdorff(),
+        "chamfer_normals": match.chamfer_normals(pred_cloud.normals, gt_cloud.normals),
+        "sif_count": sif_count,
+        "sif_percent": sif_percent,
+        "dice": dice_value,
+        "volume_similarity": vs_value,
+        "sample_count": args.samples,
+        "seed": args.seed,
+        "pred_path": str(args.pred),
+        "gt_path": str(args.gt),
+    })
     _say(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _write_json(path, record) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
 
 
 def _write_trace(path, traces) -> None:
@@ -233,9 +237,7 @@ def cmd_fit(args) -> int:
                 "template_subdivision_level": config.stages[i].template_subdivision_level,
             }
         )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     _write_trace(trace_path, result.traces)
     store_obj(result.final_mesh, out_dir / "fitted.obj")
     final_trace = result.traces[-1]

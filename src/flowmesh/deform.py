@@ -192,9 +192,7 @@ def integrate(stage: DeformationStage, points, gate: GatePolicy = "strict") -> n
     return euler_steps(stage.field.geometry, stage.field.data64, x, stage.steps)
 
 
-def invert_step(
-    field: FlowField, y, h: float, stability: StabilityEstimate | None = None
-) -> np.ndarray:
+def invert_step(field: FlowField, y, h: float, stability: StabilityEstimate) -> np.ndarray:
     """Solve y = x + h*v(x) by the contraction x <- y - h*v(x), started at y.
 
     Requires h * lipschitz_safe < 1 and a finite (N, 3) batch.  Each point
@@ -203,8 +201,6 @@ def invert_step(
     how points are batched; points still above it after _MAX_ITER iterations
     raise InversionError with their worst residual.
     """
-    if stability is None:
-        stability = stability_estimate(field)
     check_gate(h, stability)
     ys = _finite_point_array(y)
     x = ys.copy()
@@ -233,7 +229,7 @@ def integrate_inverse(stage: DeformationStage, points) -> np.ndarray:
     """Undo integrate() by inverting its n steps (strictly gated) in reverse."""
     x = _as_point_array(points)
     for _ in range(stage.steps):
-        x = invert_step(stage.field, x, stage.h, stability=stage.stability)
+        x = invert_step(stage.field, x, stage.h, stage.stability)
     return x
 
 

@@ -1,5 +1,5 @@
-"""Surface evaluation suite: sampling, cloud distances, intersection census,
-voxel overlap scores and the aggregate report."""
+"""Surface evaluation suite: sampling, cloud distances, intersection census
+and voxel overlap scores."""
 
 from .distances import (
     CloudMatch,
@@ -11,7 +11,6 @@ from .distances import (
     nearest_neighbor_indices,
 )
 from .intersection import self_intersecting_faces, triangles_intersect
-from .report import MetricReport
 from .sampling import (
     SampledCloud,
     draw_surface_samples,
@@ -30,7 +29,6 @@ from .voxel import (
 
 __all__ = [
     "CloudMatch",
-    "MetricReport",
     "NotWatertightError",
     "OccupancyGrid",
     "SampledCloud",

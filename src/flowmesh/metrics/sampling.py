@@ -11,16 +11,10 @@ from ..mesh import TriangleMesh
 
 @dataclass(frozen=True)
 class SampledCloud:
-    """Surface samples with the unit normal of each point's source triangle.
-
-    ``face_indices`` and ``barycentric`` record how each point was drawn so
-    that the same draw can be replayed against repositioned vertices.
-    """
+    """Surface samples with the unit normal of each point's source triangle."""
 
     points: np.ndarray
     normals: np.ndarray
-    face_indices: np.ndarray
-    barycentric: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
@@ -107,9 +101,4 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int = 0) -> SampledCloud:
     face_idx, bary = _draw_from_table(_area_table(areas), n, seed)
     points = points_from_draw(mesh.vertices, mesh.faces, face_idx, bary)
     normals = cross[face_idx] / norms[face_idx, None]  # drawn faces have areas > 0
-    return SampledCloud(
-        points=points,
-        normals=normals,
-        face_indices=face_idx,
-        barycentric=bary,
-    )
+    return SampledCloud(points=points, normals=normals)

@@ -170,7 +170,9 @@ class TestMetrics:
                      "--voxel-dims", "17", "17", "17", "--voxel-spacing", "0.15", "0.15", "0.15",
                      "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text())
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
         del report["pred_path"], report["gt_path"]
         digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
         assert digest == "7962a3f217908f897b40403903c7ab3cdd3b8d138f47a601c439e47b8d333db8"
@@ -190,6 +192,11 @@ class TestMetrics:
         report = json.loads(report_path.read_text())
         assert abs(report["chamfer"] - 0.1) / 0.1 < 0.05
         assert report["dice"] is None and report["volume_similarity"] is None
+        assert set(report) == {
+            "chamfer", "hausdorff", "chamfer_normals", "sif_percent", "sif_count",
+            "dice", "volume_similarity", "sample_count", "seed", "pred_path", "gt_path",
+        }
+        jsonschema.validate(report, load_schema("metrics_report.schema.json"))
 
     def test_tiny_coordinates_exit_0(self, tmp_path):
         # the cross products' squares underflow here, so a plain norm is 0
@@ -1057,6 +1064,35 @@ def test_exported_names_are_read_by_the_library_or_the_benchmark():
         read.update(_names_read(ast.parse(path.read_text(encoding="utf-8"))))
     exported = set(flowmesh.__all__) | set(flowmesh.metrics.__all__)
     assert sorted(exported - read) == []
+
+
+def _json_dump_calls(node, function=None):
+    """(enclosing function, line) of each json.dump or json.dumps call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and getattr(node.func.value, "id", None) == "json"):
+        yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _json_dump_calls(child, function)
+
+
+def test_json_is_written_by_the_cli_writers_alone():
+    """json.dump and json.dumps are called only inside cli._write_json and
+    cli._write_trace, so every JSON artifact is formatted in one place."""
+    root = Path(__file__).resolve().parents[1] / "src"
+    writers = {("flowmesh.cli", "_write_json"), ("flowmesh.cli", "_write_trace")}
+    found, elsewhere = set(), []
+    for path in sorted((root / "flowmesh").rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for function, line in _json_dump_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if (module, function) in writers:
+                found.add((module, function))
+            else:
+                elsewhere.append(f"{module}.{function}:{line}")
+    assert elsewhere == []
+    assert found == writers
 
 
 def test_main_alone_turns_refusals_into_exit_codes():

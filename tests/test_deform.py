@@ -18,7 +18,7 @@ from flowmesh import (
     suggested_steps,
     topology_report,
 )
-from flowmesh.flow_field import sample_grid
+from flowmesh.flow_field import sample_grid, stability_estimate
 
 from conftest import expm_oracle, linear_field, make_gated_field, scaled_icosphere
 
@@ -144,7 +144,8 @@ class TestInvertStep:
     def test_zero_field_one_iteration(self, monkeypatch):
         monkeypatch.setattr(deform, "_MAX_ITER", 1)
         y = np.array([[0.4, 0.6, 0.8]])
-        x = invert_step(zero_field(), y, 0.25)
+        field = zero_field()
+        x = invert_step(field, y, 0.25, stability_estimate(field))
         assert np.array_equal(x, y)
 
     def test_constant_block_two_iterations(self, monkeypatch):
@@ -152,7 +153,7 @@ class TestInvertStep:
         c = np.array([0.2, -0.1, 0.05])
         field = constant_block_field(c)
         y = np.array([[4.0, 4.0, 4.0]])
-        x = invert_step(field, y, 0.5)
+        x = invert_step(field, y, 0.5, stability_estimate(field))
         assert np.allclose(x, y - 0.5 * c, rtol=1e-15)
 
     def test_inverts_euler_step(self, monkeypatch):
@@ -163,34 +164,34 @@ class TestInvertStep:
         rng = np.random.default_rng(8)
         x = rng.uniform(0.2, 0.8, size=(200, 3))
         y = x + stage.h * sample_grid(field.geometry, field.data64, x)
-        back = invert_step(field, y, stage.h)
+        back = invert_step(field, y, stage.h, stage.stability)
         bound = tol / (1.0 - stage.h * stage.stability.lipschitz_safe)
         assert np.linalg.norm(back - x, axis=1).max() <= bound
 
     def test_precondition_violation(self):
         field = make_gated_field((5, 5, 5), (0, 0, 0), (1, 1, 1), seed=9, steps=4)
         with pytest.raises(GateViolationError):
-            invert_step(field, np.zeros((1, 3)), h=1.0)
+            invert_step(field, np.zeros((1, 3)), 1.0, stability_estimate(field))
 
     def test_max_iter_exceeded_reports_residual(self, monkeypatch):
         monkeypatch.setattr(deform, "_TOL", 1e-30)
         monkeypatch.setattr(deform, "_MAX_ITER", 2)
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
         with pytest.raises(InversionError) as err:
-            invert_step(field, np.array([[0.5, 0.5, 0.5]]), 0.25)
+            invert_step(field, np.array([[0.5, 0.5, 0.5]]), 0.25, stability_estimate(field))
         assert err.value.residual > 0
         assert err.value.max_iter == 2
 
     def test_point_converging_on_the_last_evaluation_is_returned(self, monkeypatch):
         # this point meets the 1e-12 tolerance on its 9th evaluation, after 8 updates
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
-        y = np.array([[0.5, 0.5, 0.5]])
-        expected = invert_step(field, y, 0.25)
+        y, stability = np.array([[0.5, 0.5, 0.5]]), stability_estimate(field)
+        expected = invert_step(field, y, 0.25, stability)
         monkeypatch.setattr(deform, "_MAX_ITER", 8)
-        assert invert_step(field, y, 0.25).tobytes() == expected.tobytes()
+        assert invert_step(field, y, 0.25, stability).tobytes() == expected.tobytes()
         monkeypatch.setattr(deform, "_MAX_ITER", 7)
         with pytest.raises(InversionError) as err:
-            invert_step(field, y, 0.25)
+            invert_step(field, y, 0.25, stability)
         assert err.value.residual > 1e-12
         assert err.value.max_iter == 7
 
@@ -198,7 +199,7 @@ class TestInvertStep:
         calls = []
         monkeypatch.setattr(deform, "sample_grid", lambda *args: calls.append(1))
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=10, steps=4)
-        x = invert_step(field, np.zeros((0, 3)), 0.25)
+        x = invert_step(field, np.zeros((0, 3)), 0.25, stability_estimate(field))
         assert x.shape == (0, 3) and x.dtype == np.float64
         assert calls == []
 
@@ -241,7 +242,7 @@ class TestInverseFarFromOrigin:
         y = integrate(stage, x)
         for _ in range(stage.steps):
             expected = reference_invert_step(stage.field, y, stage.h)
-            y = invert_step(stage.field, y, stage.h)
+            y = invert_step(stage.field, y, stage.h, stage.stability)
             assert y.tobytes() == expected.tobytes()
 
 
@@ -434,7 +435,7 @@ def test_lone_point_is_refused(name):
         "contains": lambda p: field.geometry.contains(p),
         "sample_grid": lambda p: sample_grid(field.geometry, field.data64, p),
         "integrate": lambda p: integrate(stage, p),
-        "invert_step": lambda p: invert_step(field, p, stage.h),
+        "invert_step": lambda p: invert_step(field, p, stage.h, stage.stability),
         "integrate_inverse": lambda p: integrate_inverse(stage, p),
     }[name]
     with pytest.raises(ValueError, match=r"^points must have shape \(N, 3\), got \(3,\)$"):
@@ -457,7 +458,7 @@ class TestNonFiniteInput:
     def test_invert_step_refuses_before_iterating(self):
         field = make_gated_field((6, 6, 6), (0, 0, 0), (1, 1, 1), seed=43, steps=4)
         with pytest.raises(ValueError, match="finite"):
-            invert_step(field, np.array([[0.5, np.nan, 0.5]]), 0.25)
+            invert_step(field, np.array([[0.5, np.nan, 0.5]]), 0.25, stability_estimate(field))
 
     def test_apply_chain_refuses_nan_vertices(self):
         mesh = scaled_icosphere(1, radius=0.3, center=(0.5, 0.5, 0.5))

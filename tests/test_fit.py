@@ -660,7 +660,7 @@ def stage(dims, steps, iterations, step_size, level):
 
 
 class TestPinnedOutputs:
-    """SHA-256 of every output a ``flowmesh fit`` run writes, but the manifest.
+    """SHA-256 of every output a ``flowmesh fit`` run writes.
 
     Pinned with numpy 2.4.6 and scipy 1.17.1.  The fitter's forward and
     reverse passes, the integration it reuses and its k-d trees must keep
@@ -679,6 +679,7 @@ class TestPinnedOutputs:
             "stage_000.dff1": "5f94b25cca0bb4a44f423609f9d106d899f212a4a250b25cdf1cf63123408d6c",
             "stage_001.dff1": "e3fcb6d5b8b7e2cd02afdb80e2920709677da2f1c4eef545a5cddae05354c44e",
             "fitted.obj": "ded2c414d3e0fb150a1728506ca9d4a508390cbe89706a67e4f7db49e6910cbb",
+            "manifest.json": "5757b9c7e19e9b12d273200fde9a16dffdaf2cc0732282b643d4c3e9e5ddfe49",
         }),
         # a step size so large that 9 of the 20 proposals are rejected, 4 by
         # the strict gate and 5 by their loss; so integrations after a
@@ -692,6 +693,7 @@ class TestPinnedOutputs:
             "stage_000.dff1": "f378f973d2b9cf45fd01e535b204a959403f90576b4870d19be3c6bd9480a743",
             "stage_001.dff1": "6241a7b205ae70fbd7ecdbbb16519351d71c1fc3f7d57e68f1b8da0b871f700c",
             "fitted.obj": "92e71950bd62fbb2e27241f5cdfa421defe600c3550601c57a3e897b7b90dd6a",
+            "manifest.json": "7f369a27c3c86eb92158d4b0380baa43fd76fb3e9a72659de4e3577a76308352",
         }),
     }
 

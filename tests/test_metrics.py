@@ -23,7 +23,6 @@ from flowmesh import (
     topology_report,
 )
 from flowmesh.metrics import (
-    MetricReport,
     NotWatertightError,
     OccupancyGrid,
     SampledCloud,
@@ -31,9 +30,11 @@ from flowmesh.metrics import (
     chamfer,
     chamfer_normals,
     dice,
+    draw_surface_samples,
     hausdorff,
     match_clouds,
     nearest_neighbor_indices,
+    points_from_draw,
     sample_surface,
     self_intersecting_faces,
     triangle_areas,
@@ -57,12 +58,7 @@ def cloud_from_points(points, normals=None):
     points = np.asarray(points, dtype=np.float64)
     if normals is None:
         normals = np.tile([0.0, 0.0, 1.0], (len(points), 1))
-    return SampledCloud(
-        points=points,
-        normals=np.asarray(normals, dtype=np.float64),
-        face_indices=np.zeros(len(points), dtype=np.int64),
-        barycentric=np.tile([1.0, 0.0, 0.0], (len(points), 1)),
-    )
+    return SampledCloud(points=points, normals=np.asarray(normals, dtype=np.float64))
 
 
 def moller_tri_tri(t1, t2):
@@ -114,8 +110,8 @@ class TestSampling:
             [[0, 0, 0], [2, 0, 0], [0, 1, 0], [10, 0, 0], [16, 0, 0], [10, 1, 0]],
             [[0, 1, 2], [3, 4, 5]],
         )
-        cloud = sample_surface(mesh, 100000, seed=0)
-        frac = np.mean(cloud.face_indices == 1)
+        face_idx, _ = draw_surface_samples(mesh, 100000, seed=0)
+        frac = np.mean(face_idx == 1)
         assert abs(frac - 0.75) < 0.01
 
     def test_deterministic(self):
@@ -128,8 +124,8 @@ class TestSampling:
     def test_per_face_frequencies_within_3_sigma(self):
         mesh = icosphere(0)  # 20 equal-area faces
         n = 100000
-        cloud = sample_surface(mesh, n, seed=6)
-        counts = np.bincount(cloud.face_indices, minlength=20)
+        face_idx, _ = draw_surface_samples(mesh, n, seed=6)
+        counts = np.bincount(face_idx, minlength=20)
         p = 1.0 / 20.0
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert np.all(np.abs(counts / n - p) <= 3.0 * sigma)
@@ -144,7 +140,8 @@ class TestSampling:
         mesh = scaled_icosphere(2, radius=1.3)
         cloud = sample_surface(mesh, 5000, seed=4)
         assert np.allclose(np.linalg.norm(cloud.normals, axis=1), 1.0, atol=1e-9)
-        corners = mesh.triangle_corners()[cloud.face_indices]
+        face_idx, _ = draw_surface_samples(mesh, 5000, seed=4)  # the faces the cloud drew
+        corners = mesh.triangle_corners()[face_idx]
         plane_dist = np.abs(
             np.einsum("nc,nc->n", cloud.points - corners[:, 0], cloud.normals)
         )
@@ -169,8 +166,17 @@ class TestSampling:
     def test_tiny_scale_draws_the_same_faces(self):
         sphere = icosphere(3)
         tiny = TriangleMesh(sphere.vertices * 2.0**-266, sphere.faces)
-        expected = sample_surface(sphere, 2000, seed=4).face_indices
-        assert np.array_equal(sample_surface(tiny, 2000, seed=4).face_indices, expected)
+        expected = draw_surface_samples(sphere, 2000, seed=4)[0]
+        assert np.array_equal(draw_surface_samples(tiny, 2000, seed=4)[0], expected)
+
+    @pytest.mark.parametrize("level", [0, 2, 4])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-500, 1e70])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_points_are_those_of_the_draw(self, level, scale, seed):
+        mesh = scaled_icosphere(level, radius=scale)
+        draw = draw_surface_samples(mesh, 1000, seed)
+        expected = points_from_draw(mesh.vertices, mesh.faces, *draw)
+        assert sample_surface(mesh, 1000, seed).points.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 17, 50_000])
     @pytest.mark.parametrize("seed", [0, 1, 29])
@@ -1434,32 +1440,3 @@ def test_overlap_scores_bounded(occ_a, occ_b):
     assert dice(a, a) == 1.0
     assert dice(a, b) == dice(b, a)
 
-
-class TestMetricReport:
-    def test_json_keys_and_schema(self, tmp_path):
-        import jsonschema
-
-        from flowmesh.cli import load_schema
-
-        report = MetricReport(
-            chamfer=0.1,
-            hausdorff=0.2,
-            chamfer_normals=0.9,
-            sif_count=0,
-            sif_percent=0.0,
-            dice=None,
-            volume_similarity=None,
-            sample_count=1000,
-            seed=0,
-            pred_path="a.obj",
-            gt_path="b.obj",
-        )
-        path = tmp_path / "report.json"
-        report.write_json(path)
-        loaded = json.loads(path.read_text())
-        assert set(loaded) == {
-            "chamfer", "hausdorff", "chamfer_normals", "sif_percent", "sif_count",
-            "dice", "volume_similarity", "sample_count", "seed", "pred_path", "gt_path",
-        }
-        assert loaded["dice"] is None
-        jsonschema.validate(loaded, load_schema("metrics_report.schema.json"))
