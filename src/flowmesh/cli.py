@@ -217,14 +217,14 @@ def cmd_fit(args) -> int:
     _cap(_subdivision_fits(faces, levels), f"{faces} faces subdivided {levels} times exceed "
          f"{_MAX_SUBDIVIDED_FACES} faces (icosphere level {MAX_ICOSPHERE_LEVEL})")
     target = load_obj(args.target)
+    os.makedirs(args.out_dir, exist_ok=True)  # refuses "" with the OS's own error
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
     try:
         result = fit_pipeline(config, template, target)
-    except FitDivergedError as exc:
-        _write_trace(trace_path, [exc.trace])
-        _say(f"fit diverged; partial trace preserved at {trace_path}")
+    except (FitDivergedError, GateViolationError) as exc:
+        _write_trace(trace_path, exc.traces)
+        _say(f"fit failed; the trace so far is kept at {trace_path}")
         raise
     manifest = {"stages": []}
     for i, stage in enumerate(result.chain.stages):

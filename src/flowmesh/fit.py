@@ -17,7 +17,8 @@ are rescaled back so the emitted chain acts in the original coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class FitDivergedError(RuntimeError):
     def __init__(self, stage_index: int, trace):
         self.stage_index = stage_index
         self.trace = list(trace)
+        self.traces = (tuple(self.trace),)  # fit_pipeline puts earlier stages' first
         super().__init__(
             f"fit diverged at stage {stage_index}, iteration {len(self.trace)}"
         )
@@ -156,40 +158,28 @@ class LossReport:
     gate_margin: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StageProblem:
-    """Frozen context for evaluating one stage's loss at given parameters."""
+    """One iteration's context for evaluating a stage's loss at given parameters."""
 
     geometry: GridGeometry
     steps: int
     start_vertices: np.ndarray
     faces: np.ndarray
     edges: np.ndarray
-    target_points: np.ndarray
+    target: PointTree  # of the iteration's target draw; its points are target.data
     chamfer_weight: float
     edge_weight: float
     sample_count: int
     sample_seed: int
     gate: GatePolicy = "strict"
-    integration: tuple | None = None  # (params, stability, step stencils, deformed) to reuse
+    reuse: tuple | None = None  # (params, stability, step stencils, deformed) to take over
     certify: tuple | None = None  # (CloudMatch, total) of the forward pass at the same draw
-    target_tree: PointTree = dataclass_field(init=False, repr=False)  # of target_points
-
-    def __post_init__(self):
-        self.target_tree = PointTree(self.target_points)
 
 
-@dataclass
-class LossTerms:
-    chamfer_term: float
-    edge_term: float
-    total: float
-    gate_margin: float
-
-
-@dataclass
-class Intermediates:
-    """Everything the reverse pass needs, captured during the forward pass."""
+@dataclass(frozen=True, eq=False)
+class ForwardPass:
+    """One evaluation of a stage's loss, with all the reverse pass needs."""
 
     problem: StageProblem
     params: np.ndarray
@@ -200,27 +190,30 @@ class Intermediates:
     bary: np.ndarray
     pred_points: np.ndarray
     match: CloudMatch  # pred -> target (ab) and target -> pred (ba)
+    chamfer_term: float
+    edge_term: float
+    total: float
+    gate_margin: float
 
 
-def forward_loss(
-    params: np.ndarray, problem: StageProblem, draw=None
-) -> tuple[LossTerms, Intermediates]:
+def forward_loss(params: np.ndarray, problem: StageProblem, draw=None) -> ForwardPass:
     """Loss of the stage at the given flow-grid values.
 
     ``draw`` fixes the (face index, barycentric) surface draw; by default a
     fresh draw is taken from the deformed mesh with the problem's sample seed.
-    The returned intermediates retain per-step stencils and correspondences
-    for :func:`backward`.  A pass with ``draw`` whose bound certifies it (see
+    The pass keeps per-step stencils and correspondences for :func:`backward`.
+    It takes over ``problem.reuse`` only if that was built from this very
+    ``params`` array.  A pass with ``draw`` whose bound certifies it (see
     :func:`_certified_match`) returns that bound as its loss and runs no NN query.
     """
     geometry = problem.geometry
+    reuse = problem.reuse is not None and problem.reuse[0] is params
     params = np.array(params, dtype=np.float64)
     if params.shape != geometry.dims + (3,):
         raise ValueError(f"params shape {params.shape} does not match grid")
     params[_boundary_mask(geometry.dims)] = 0.0
 
-    reuse = problem.integration is not None and np.array_equal(problem.integration[0], params)
-    _, stability, step_stencils, deformed = problem.integration if reuse else (
+    _, stability, step_stencils, deformed = problem.reuse if reuse else (
         None, stability_from_grid(geometry, params), [], None)
     margin = check_gate(1.0 / problem.steps, stability, problem.gate)  # reused or not
     if not reuse:
@@ -237,25 +230,11 @@ def forward_loss(
     edge_term = mean_squared_edge_length(deformed, problem.edges)
     match = _certified_match(problem, pred, edge_term) if draw is not None else None
     if match is None:
-        match = match_clouds(pred, problem.target_tree)
+        match = match_clouds(pred, problem.target)
     chamfer_sq = match.chamfer(squared=True)
     total = problem.chamfer_weight * chamfer_sq + problem.edge_weight * edge_term
-
-    terms = LossTerms(
-        chamfer_term=chamfer_sq, edge_term=edge_term, total=total, gate_margin=margin
-    )
-    inter = Intermediates(
-        problem=problem,
-        params=params,
-        stability=stability,
-        step_stencils=step_stencils,
-        deformed_vertices=deformed,
-        face_idx=face_idx,
-        bary=bary,
-        pred_points=pred,
-        match=match,
-    )
-    return terms, inter
+    return ForwardPass(problem, params, stability, step_stencils, deformed, face_idx, bary,
+                       pred, match, chamfer_sq, edge_term, total, margin)
 
 
 def _certified_match(problem: StageProblem, pred: np.ndarray, edge_term: float):
@@ -265,44 +244,44 @@ def _certified_match(problem: StageProblem, pred: np.ndarray, edge_term: float):
     if problem.certify is None:
         return None
     frozen, threshold = problem.certify
-    match = CloudMatch.between(pred, problem.target_points, frozen.idx_ab, frozen.idx_ba)
+    match = CloudMatch.between(pred, problem.target.data, frozen.idx_ab, frozen.idx_ba)
     bound = problem.chamfer_weight * match.chamfer(squared=True) + problem.edge_weight * edge_term
     return match if bound * (1.0 + _CERTIFY_SLACK) <= threshold else None
 
 
-def backward(inter: Intermediates) -> np.ndarray:
+def backward(fwd: ForwardPass) -> np.ndarray:
     """Gradient of the forward loss w.r.t. the flow-grid values.
 
     Correspondences and the surface draw are treated as fixed (envelope
     rule); boundary nodes always receive a zero gradient.
     """
-    problem = inter.problem
+    problem = fwd.problem
     geometry = problem.geometry
     h = 1.0 / problem.steps
     w_c, w_e = problem.chamfer_weight, problem.edge_weight
-    pred = inter.pred_points
-    target = problem.target_points
+    pred = fwd.pred_points
+    target = problem.target.data
     n_pred, n_tgt = len(pred), len(target)
-    idx_ab, idx_ba = inter.match.idx_ab, inter.match.idx_ba
+    idx_ab, idx_ba = fwd.match.idx_ab, fwd.match.idx_ba
 
     grad_pred = (w_c / n_pred) * (pred - target[idx_ab])
     scatter_add(grad_pred, idx_ba, (w_c / n_tgt) * (pred[idx_ba] - target))
 
-    grad_v = np.zeros_like(inter.deformed_vertices)
-    scatter = inter.bary[:, :, None] * grad_pred[:, None, :]
-    scatter_add(grad_v, problem.faces[inter.face_idx].ravel(), scatter.reshape(-1, 3))
+    grad_v = np.zeros_like(fwd.deformed_vertices)
+    scatter = fwd.bary[:, :, None] * grad_pred[:, None, :]
+    scatter_add(grad_v, problem.faces[fwd.face_idx].ravel(), scatter.reshape(-1, 3))
 
     if w_e != 0.0:
         e0, e1 = problem.edges[:, 0], problem.edges[:, 1]
-        delta = inter.deformed_vertices[e0] - inter.deformed_vertices[e1]
+        delta = fwd.deformed_vertices[e0] - fwd.deformed_vertices[e1]
         coeff = 2.0 * w_e / len(problem.edges)
         scatter_add(grad_v, e0, coeff * delta)
         scatter_add(grad_v, e1, -coeff * delta)
 
-    grad = np.zeros_like(inter.params)
+    grad = np.zeros_like(fwd.params)
     grad_x = grad_v
-    for s in reversed(inter.step_stencils):
-        grad_x[s.inside] += s.backprop(grad.reshape(-1, 3), inter.params, grad_x[s.inside], h)
+    for s in reversed(fwd.step_stencils):
+        grad_x[s.inside] += s.backprop(grad.reshape(-1, 3), fwd.params, grad_x[s.inside], h)
 
     grad[_boundary_mask(geometry.dims)] = 0.0
     return grad
@@ -353,11 +332,13 @@ def fit_stage(
     per-iteration trace.
     """
     scfg = config.stages[stage_index]
-    geometry = stage_grid_geometry(
-        template, target, scfg.grid_dims, config.domain_radius
-    )
-    start = apply_chain(frozen, template, gate=config.gate).vertices
-    edges = unique_edges(template.faces)
+    geometry = stage_grid_geometry(template, target, scfg.grid_dims, config.domain_radius)
+    stage_problem = partial(  # the stage's constants; each iteration adds its own fields
+        StageProblem, geometry=geometry, steps=scfg.steps,
+        start_vertices=apply_chain(frozen, template, gate=config.gate).vertices,
+        faces=template.faces, edges=unique_edges(template.faces),
+        chamfer_weight=config.chamfer_weight, edge_weight=config.edge_weight,
+        sample_count=config.sample_count, gate=config.gate)
     target_table = _area_table(triangle_areas(target.vertices, target.faces))
 
     params = np.zeros(geometry.dims + (3,), dtype=np.float64)
@@ -366,59 +347,46 @@ def fit_stage(
     best_total = math.inf
     best_params = params.copy()
     trace: list[LossReport] = []
-    integration = None  # of the last accepted candidate
+    reuse = None  # the integration of the last accepted candidate
 
     for iteration in range(scfg.iterations):
-        pred_seed = derive_seed(config.seed, stage_index, iteration, 0)
         target_seed = derive_seed(config.seed, stage_index, iteration, 1)
         target_draw = _draw_from_table(target_table, config.sample_count, target_seed)
-        problem = StageProblem(
-            geometry=geometry,
-            steps=scfg.steps,
-            start_vertices=start,
-            faces=template.faces,
-            edges=edges,
-            target_points=points_from_draw(target.vertices, target.faces, *target_draw),
-            chamfer_weight=config.chamfer_weight,
-            edge_weight=config.edge_weight,
-            sample_count=config.sample_count,
-            sample_seed=pred_seed,
-            gate=config.gate,
-            integration=integration,
+        problem = stage_problem(
+            target=PointTree(points_from_draw(target.vertices, target.faces, *target_draw)),
+            sample_seed=derive_seed(config.seed, stage_index, iteration, 0),
+            reuse=reuse,
         )
-        terms, inter = forward_loss(params, problem)
-        if not math.isfinite(terms.total):
+        iterate = forward_loss(params, problem)
+        if not math.isfinite(iterate.total):
             raise FitDivergedError(stage_index, trace)
-        grad = backward(inter)
-        draw = (inter.face_idx, inter.bary)
-        problem.certify = (inter.match, terms.total)
-        del inter  # the stencils are not needed past the reverse pass
-        problem.integration = integration = None
-        grad_norm = float(np.sqrt((grad * grad).sum()))
-        trace.append(LossReport(iteration=iteration, grad_norm=grad_norm, **asdict(terms)))
-        if terms.total < best_total:
-            best_total = terms.total
-            best_params = params.copy()
+        grad = backward(iterate)
+        total, draw = iterate.total, (iterate.face_idx, iterate.bary)
+        trace.append(LossReport(iteration, iterate.chamfer_term, iterate.edge_term, total,
+                                float(np.sqrt((grad * grad).sum())), iterate.gate_margin))
+        problem = replace(problem, reuse=None, certify=(iterate.match, total))
+        iterate = reuse = None  # the stencils are not needed past the reverse pass
+        if total < best_total:
+            best_total, best_params = total, params.copy()
 
         velocity = MOMENTUM * velocity - step_size * grad
         candidate = params + velocity
         candidate[_boundary_mask(geometry.dims)] = 0.0
         try:
-            cand_terms, cand = forward_loss(candidate, problem, draw=draw)
+            cand = forward_loss(candidate, problem, draw=draw)
         except GateViolationError:  # strict gate; a NaN margin raises too
             accepted = False
         else:
-            accepted = cand_terms.total <= terms.total  # rejects NaN as well
-        if accepted:  # the next forward pass reuses the candidate's integration
+            accepted = cand.total <= total  # rejects NaN as well
+        if accepted:  # the next forward pass takes over the candidate's integration
             params = candidate
-            integration = (candidate, cand.stability, cand.step_stencils, cand.deformed_vertices)
+            reuse = (candidate, cand.stability, cand.step_stencils, cand.deformed_vertices)
         else:
             step_size *= 0.5
             velocity[:] = 0.0
         cand = None  # a rejected candidate's stencils are not kept
 
-    field = FlowField(geometry, best_params.astype(np.float32))
-    stage = DeformationStage(field, scfg.steps)
+    stage = DeformationStage(FlowField(geometry, best_params.astype(np.float32)), scfg.steps)
     check_gate(stage.h, stage.stability, config.gate, stage_index=stage_index)
     return stage, trace
 
@@ -465,7 +433,9 @@ def fit_pipeline(
 
     The emitted chain acts in the original coordinates; the final mesh is the
     last stage's template (subdivided as configured) pushed through that
-    chain.
+    chain.  A ``FitDivergedError`` or ``GateViolationError`` raised on the way
+    carries ``traces``: the records of every stage fitted before it, then the
+    diverged stage's records so far.
     """
     center, scale = unit_ball_transform(template.vertices, target.vertices)
     template_norm = template.with_vertices((template.vertices - center) / scale)
@@ -475,20 +445,22 @@ def fit_pipeline(
     traces: list[tuple[LossReport, ...]] = []
     current = template_norm
     levels = tuple(s.template_subdivision_level for s in config.stages)
-    for index, (prev, level) in enumerate(zip((0,) + levels, levels)):
-        for _ in range(level - prev):  # exact: FitConfig refuses decreasing levels
-            current = midpoint_subdivide(current)
-        stage, trace = fit_stage(
-            config, index, DeformationChain(tuple(stages_norm)), current, target_norm
-        )
-        stages_norm.append(stage)
-        traces.append(tuple(trace))
+    try:
+        for index, (prev, level) in enumerate(zip((0,) + levels, levels)):
+            for _ in range(level - prev):  # exact: FitConfig refuses decreasing levels
+                current = midpoint_subdivide(current)
+            frozen = DeformationChain(tuple(stages_norm))
+            stage, trace = fit_stage(config, index, frozen, current, target_norm)
+            stages_norm.append(stage)
+            traces.append(tuple(trace))
 
-    chain = DeformationChain(
-        tuple(_rescale_stage(i, s, center, scale) for i, s in enumerate(stages_norm))
-    )
-    final_template = template
-    for _ in range(levels[-1]):
-        final_template = midpoint_subdivide(final_template)
-    final_mesh = apply_chain(chain, final_template, gate=config.gate)
+        chain = DeformationChain(tuple(_rescale_stage(i, s, center, scale)
+                                       for i, s in enumerate(stages_norm)))
+        final_template = template
+        for _ in range(levels[-1]):
+            final_template = midpoint_subdivide(final_template)
+        final_mesh = apply_chain(chain, final_template, gate=config.gate)
+    except (FitDivergedError, GateViolationError) as exc:  # keep the records fitted so far
+        exc.traces = (*traces, *getattr(exc, "traces", ()))
+        raise
     return FitResult(chain=chain, traces=tuple(traces), final_mesh=final_mesh)

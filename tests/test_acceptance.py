@@ -46,6 +46,7 @@ from flowmesh.metrics import (
     voxelize,
     OccupancyGrid,
 )
+from flowmesh.metrics.distances import PointTree
 
 from conftest import (
     brute_force_nn_stats,
@@ -204,7 +205,7 @@ def test_criterion_5_gradient_correctness():
             start_vertices=template.vertices,
             faces=template.faces,
             edges=unique_edges(template.faces),
-            target_points=target_cloud.points,
+            target=PointTree(target_cloud.points),
             chamfer_weight=1.0,
             edge_weight=float(rng.uniform(0.0, 1.0)),
             sample_count=64,
@@ -213,9 +214,9 @@ def test_criterion_5_gradient_correctness():
         params = np.zeros(geometry.dims + (3,))
         interior = ~_boundary_mask(geometry.dims)
         params[interior] = 0.05 * rng.normal(size=(int(interior.sum()), 3))
-        _, seed_inter = forward_loss(params, problem)
+        seed_inter = forward_loss(params, problem)
         draw = (seed_inter.face_idx, seed_inter.bary)
-        _, inter = forward_loss(params, problem, draw=draw)
+        inter = forward_loss(params, problem, draw=draw)
         grad = backward(inter)
         eps = 1e-6
         nodes = np.argwhere(interior)
@@ -226,8 +227,8 @@ def test_criterion_5_gradient_correctness():
                 plus[i, j, k, c] += eps
                 minus = params.copy()
                 minus[i, j, k, c] -= eps
-                lp, _ = forward_loss(plus, problem, draw=draw)
-                lm, _ = forward_loss(minus, problem, draw=draw)
+                lp = forward_loss(plus, problem, draw=draw)
+                lm = forward_loss(minus, problem, draw=draw)
                 fd = (lp.total - lm.total) / (2.0 * eps)
                 an = float(grad[i, j, k, c])
                 # magnitude floor 1e-4: below it the central difference at

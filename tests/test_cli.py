@@ -470,6 +470,68 @@ class TestFitCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["total"] == 1.5
 
+    def test_empty_out_dir_exit_1_writes_nothing(self, tmp_path, sphere_obj, monkeypatch,
+                                                  capsys):
+        config = self.write_config(tmp_path)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                     "--config", str(config), "--out-dir", ""])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(cwd.iterdir()) == []
+
+    @staticmethod
+    def trace_records(out_dir):
+        schema = load_schema("fit_trace_record.schema.json")
+        records = [json.loads(line) for line in (out_dir / "trace.jsonl").read_text().splitlines()]
+        for record in records:
+            jsonschema.validate(record, schema)
+        return records
+
+    def test_divergence_at_a_later_stage_keeps_every_stage_trace(self, tmp_path, monkeypatch):
+        import flowmesh.fit as fit_module
+
+        edge_term, stage_1_calls = fit_module.mean_squared_edge_length, []
+
+        def overflowing(vertices, edges):  # from stage 1's third evaluation on
+            if len(vertices) == 162:  # stage 1's template, subdivided once
+                stage_1_calls.append(1)
+                if len(stage_1_calls) >= 3:
+                    return math.inf
+            return edge_term(vertices, edges)
+
+        monkeypatch.setattr(fit_module, "mean_squared_edge_length", overflowing)
+        template, target = tmp_path / "template.obj", tmp_path / "target.obj"
+        store_obj(icosphere(1), template)
+        store_obj(icosphere(2).with_vertices(icosphere(2).vertices * 1.15), target)
+        stage = {"grid_dims": [5, 5, 5], "steps": 2, "iterations": 3, "step_size": 0.3}
+        config = self.write_config(tmp_path, sample_count=100, stages=[
+            stage, dict(stage, grid_dims=[6, 6, 6], template_subdivision_level=1)])
+        out_dir = tmp_path / "run"
+        code = main(["fit", "--template", str(template), "--target", str(target),
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 3
+        # stage 0's three records, then stage 1's first: its second iterate diverged
+        assert [r["iteration"] for r in self.trace_records(out_dir)] == [0, 1, 2, 0]
+
+    def test_gate_failure_after_the_fit_keeps_the_trace(self, tmp_path, capsys):
+        # The near-gate fit: its last stage passes the gate in normalised
+        # space, but not once rescaled to the original coordinates.
+        template, target = tmp_path / "template.obj", tmp_path / "target.obj"
+        store_obj(icosphere(3), template)
+        store_obj(icosphere(4).with_vertices(icosphere(4).vertices * (1.6, 0.7, 0.5)), target)
+        config = self.write_config(tmp_path, stages=[
+            {"grid_dims": [8, 8, 8], "steps": 1, "iterations": 80, "step_size": 5}
+        ], sample_count=2500)
+        out_dir = tmp_path / "run"
+        code = main(["fit", "--template", str(template), "--target", str(target),
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "step-size gate violated" in capsys.readouterr().err
+        assert [r["iteration"] for r in self.trace_records(out_dir)] == list(range(80))
+
 
 _STAGE = {"grid_dims": [4, 4, 4], "steps": 1, "iterations": 1, "step_size": 0.1}
 _REFUSED_CONFIGS = [  # (config, the field its message names)
@@ -1114,3 +1176,24 @@ def test_main_alone_turns_refusals_into_exit_codes():
                     error_sayers.add(function.name)
     assert precondition_readers == {"main", "cmd_check"}
     assert error_sayers == {"main"}
+
+
+def test_library_dataclasses_are_frozen():
+    """Every @dataclass under src/flowmesh is frozen=True, so no record is
+    written after it is built."""
+    root = Path(__file__).resolve().parents[1] / "src"
+    checked, unfrozen = 0, []
+    for path in sorted((root / "flowmesh").rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for decorator in getattr(node, "decorator_list", ()):
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                checked += 1
+                keywords = {k.arg: k.value for k in call.keywords} if call else {}
+                if getattr(keywords.get("frozen"), "value", None) is not True:
+                    unfrozen.append(f"{module}.{node.name}")
+    assert checked
+    assert unfrozen == []

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from flowmesh.fit import (
 from flowmesh.flow_field import TrilinearStencil, _boundary_mask
 from flowmesh.mesh import unique_edges
 from flowmesh.metrics import chamfer, distances, match_clouds, sample_surface
-from flowmesh.metrics.distances import CloudMatch, mean_squared_edge_length
+from flowmesh.metrics.distances import CloudMatch, PointTree, mean_squared_edge_length
 
 from conftest import edge_loss, scaled_icosphere, stencil_formulas
 
@@ -54,7 +54,7 @@ def small_problem(seed=0, steps=2, samples=64, w_edge=1.0, grid=(5, 5, 5)):
         start_vertices=template.vertices,
         faces=template.faces,
         edges=unique_edges(template.faces),
-        target_points=target_cloud.points,
+        target=PointTree(target_cloud.points),
         chamfer_weight=1.0,
         edge_weight=w_edge,
         sample_count=samples,
@@ -74,10 +74,10 @@ def random_interior_params(geometry, seed, scale=0.05):
 class TestForwardLoss:
     def test_zero_params_chamfer_only(self):
         template, target, problem = small_problem(w_edge=0.0)
-        terms, inter = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
+        terms = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
         # current stage is the identity: predicted samples come from the template
         pred_cloud = sample_surface(template, problem.sample_count, problem.sample_seed)
-        expected = match_clouds(pred_cloud.points, problem.target_points).chamfer(squared=True)
+        expected = match_clouds(pred_cloud.points, problem.target.data).chamfer(squared=True)
         assert terms.total == expected
         assert terms.edge_term == edge_loss(template)  # reported even at weight 0
 
@@ -91,13 +91,13 @@ class TestForwardLoss:
             start_vertices=template.vertices,
             faces=template.faces,
             edges=unique_edges(template.faces),
-            target_points=cloud.points,
+            target=PointTree(cloud.points),
             chamfer_weight=1.0,
             edge_weight=1.0,
             sample_count=500,
             sample_seed=3,  # same seed: identical draw, chamfer exactly zero
         )
-        terms, _ = forward_loss(np.zeros(geometry.dims + (3,)), problem)
+        terms = forward_loss(np.zeros(geometry.dims + (3,)), problem)
         assert terms.chamfer_term == 0.0
         assert terms.edge_term == edge_loss(template)
 
@@ -106,13 +106,13 @@ class TestForwardLoss:
         geometry = problem.geometry
         params = random_interior_params(geometry, seed=6)
         params = params.astype(np.float32).astype(np.float64)  # exactly storable
-        terms, _ = forward_loss(params, problem)
+        terms = forward_loss(params, problem)
 
         stage = DeformationStage(FlowField(geometry, params.astype(np.float32)), 3)
         deformed = apply_chain(DeformationChain((stage,)), template)
         pred_cloud = sample_surface(deformed, problem.sample_count, problem.sample_seed)
         recomputed = problem.chamfer_weight * match_clouds(
-            pred_cloud.points, problem.target_points
+            pred_cloud.points, problem.target.data
         ).chamfer(squared=True) + problem.edge_weight * edge_loss(deformed)
         assert terms.total == pytest.approx(recomputed, abs=1e-12)
 
@@ -121,7 +121,7 @@ class TestForwardLoss:
         template, _, problem = small_problem(seed=8, steps=steps)
         params = random_interior_params(problem.geometry, seed=9)
         field = FlowField(problem.geometry, params.astype(np.float32))
-        _, inter = forward_loss(field.data64, problem)
+        inter = forward_loss(field.data64, problem)
         expected = integrate(DeformationStage(field, steps), template.vertices)
         assert inter.deformed_vertices.tobytes() == expected.tobytes()
         assert len(inter.step_stencils) == steps
@@ -133,6 +133,47 @@ class TestForwardLoss:
         params = random_interior_params(problem.geometry, seed=7, scale=50.0)
         with pytest.raises(GateViolationError):
             forward_loss(params, problem)
+
+
+def pass_bits(fwd):
+    """Every array and loss field of a forward pass, as bytes and floats."""
+    arrays = (fwd.params, fwd.deformed_vertices, fwd.face_idx, fwd.bary, fwd.pred_points,
+              fwd.match.idx_ab, fwd.match.idx_ba)
+    return [a.tobytes() for a in arrays] + [fwd.stability, *loss_fields(fwd)]
+
+
+class TestReuseByIdentity:
+    """A pass takes over ``problem.reuse`` only when its params are the very
+    array the reused integration was built from."""
+
+    @staticmethod
+    def reuse_of(params, fwd):
+        return params, fwd.stability, fwd.step_stencils, fwd.deformed_vertices
+
+    @pytest.mark.parametrize("source", ["other params", "an equal copy"])
+    def test_reuse_of_another_array_is_not_taken(self, monkeypatch, source):
+        _, _, problem = small_problem(seed=3, steps=3)
+        params = random_interior_params(problem.geometry, seed=4)
+        fresh = forward_loss(params, problem)
+        if source == "other params":
+            built_from = random_interior_params(problem.geometry, seed=5)
+        else:
+            built_from = params.copy()
+        reuse = self.reuse_of(built_from, forward_loss(built_from, problem))
+        stencils = count_calls(monkeypatch, TrilinearStencil, "__init__")
+        fwd = forward_loss(params, replace(problem, reuse=reuse))
+        assert len(stencils) == problem.steps
+        assert pass_bits(fwd) == pass_bits(fresh)
+
+    def test_reuse_of_the_same_array_is_taken(self, monkeypatch):
+        _, _, problem = small_problem(seed=3, steps=3)
+        params = random_interior_params(problem.geometry, seed=4)
+        first = forward_loss(params, problem)
+        stencils = count_calls(monkeypatch, TrilinearStencil, "__init__")
+        fwd = forward_loss(params, replace(problem, reuse=self.reuse_of(params, first)))
+        assert stencils == []
+        assert fwd.step_stencils is first.step_stencils
+        assert pass_bits(fwd) == pass_bits(first)
 
 
 class TestBackward:
@@ -151,7 +192,7 @@ class TestBackward:
             start_vertices=mesh.vertices,
             faces=mesh.faces,
             edges=unique_edges(mesh.faces),
-            target_points=q,
+            target=PointTree(q),
             chamfer_weight=1.0,
             edge_weight=0.0,
             sample_count=1,
@@ -159,8 +200,7 @@ class TestBackward:
         )
         draw = (np.array([0]), np.array([[1.0, 0.0, 0.0]]))  # the vertex itself
         params = np.zeros(geometry.dims + (3,))
-        terms, inter = forward_loss(params, problem, draw=draw)
-        grad = backward(inter)
+        grad = backward(forward_loss(params, problem, draw=draw))
         h = 1.0
         base = np.floor(x0).astype(int)
         t = x0 - base
@@ -182,9 +222,9 @@ class TestBackward:
         template, target, problem = small_problem(seed=seed, steps=2, samples=64)
         geometry = problem.geometry
         params = random_interior_params(geometry, seed=seed + 50)
-        _, inter0 = forward_loss(params, problem)
+        inter0 = forward_loss(params, problem)
         draw = (inter0.face_idx, inter0.bary)
-        _, inter = forward_loss(params, problem, draw=draw)
+        inter = forward_loss(params, problem, draw=draw)
         grad = backward(inter)
         eps = 1e-6
         interior_nodes = np.argwhere(~_boundary_mask(geometry.dims))
@@ -196,8 +236,8 @@ class TestBackward:
                 plus[i, j, k, c] += eps
                 minus = params.copy()
                 minus[i, j, k, c] -= eps
-                lp, _ = forward_loss(plus, problem, draw=draw)
-                lm, _ = forward_loss(minus, problem, draw=draw)
+                lp = forward_loss(plus, problem, draw=draw)
+                lm = forward_loss(minus, problem, draw=draw)
                 fd = (lp.total - lm.total) / (2 * eps)
                 an = grad[i, j, k, c]
                 # 1e-4 magnitude floor: smaller components are FD-noise bound
@@ -206,7 +246,7 @@ class TestBackward:
     def test_boundary_gradient_zero(self):
         template, target, problem = small_problem(seed=9)
         params = random_interior_params(problem.geometry, seed=10)
-        _, inter = forward_loss(params, problem)
+        inter = forward_loss(params, problem)
         grad = backward(inter)
         assert not grad[_boundary_mask(problem.geometry.dims)].any()
 
@@ -219,14 +259,14 @@ class TestBackward:
             start_vertices=template.vertices,
             faces=template.faces,
             edges=unique_edges(template.faces),
-            target_points=np.array([[200.0, 200.0, 200.0]]),
+            target=PointTree(np.array([[200.0, 200.0, 200.0]])),
             chamfer_weight=1.0,
             edge_weight=0.0,
             sample_count=16,
             sample_seed=1,
         )
         params = random_interior_params(geometry, seed=11)
-        _, inter = forward_loss(params, problem)
+        inter = forward_loss(params, problem)
         assert not backward(inter).any()
 
 
@@ -246,7 +286,7 @@ def reference_backward(inter):
 
     w_c, w_e = problem.chamfer_weight, problem.edge_weight
     pred = inter.pred_points
-    target = problem.target_points
+    target = problem.target.data
     idx_ab, idx_ba = inter.match.idx_ab, inter.match.idx_ba
     grad_pred = (w_c / len(pred)) * (pred - target[idx_ab])
     np.add.at(grad_pred, idx_ba, (w_c / len(target)) * (pred[idx_ba] - target))
@@ -296,7 +336,7 @@ class TestBackwardReference:
             start_vertices=start,
             faces=template.faces,
             edges=unique_edges(template.faces),
-            target_points=sample_surface(target, 300, seed=4).points,
+            target=PointTree(sample_surface(target, 300, seed=4).points),
             chamfer_weight=1.0,
             edge_weight=edge_weight,
             sample_count=200,
@@ -311,7 +351,7 @@ class TestBackwardReference:
         inside = geometry.contains(problem.start_vertices)
         assert 10 <= inside.sum() < len(inside)
         params = random_interior_params(geometry, seed=steps, scale=0.01)
-        _, inter = forward_loss(params, problem)
+        inter = forward_loss(params, problem)
         assert len(inter.step_stencils) == steps
         expected = reference_backward(inter)
         assert expected.any()
@@ -739,9 +779,9 @@ class TestFitWork:
         forward = fit_module.forward_loss
 
         def recorded(params, problem, draw=None):
-            terms, inter = forward(params, problem, draw)
-            totals.append(terms.total)
-            return terms, inter
+            fwd = forward(params, problem, draw)
+            totals.append(fwd.total)
+            return fwd
 
         monkeypatch.setattr(fit_module, "forward_loss", recorded)
         stencils = count_calls(monkeypatch, TrilinearStencil, "__init__")
@@ -825,13 +865,13 @@ class TestFitWork:
         problem = StageProblem(
             geometry=geometry, steps=8, start_vertices=template.vertices,
             faces=template.faces, edges=unique_edges(template.faces),
-            target_points=sample_surface(target, 2500, seed=1).points,
+            target=PointTree(sample_surface(target, 2500, seed=1).points),
             chamfer_weight=1.0, edge_weight=1.0, sample_count=2500, sample_seed=2,
         )
         params = random_interior_params(geometry, seed=3, scale=0.01)
         tracemalloc.start()
         try:
-            _, inter = forward_loss(params, problem)
+            inter = forward_loss(params, problem)
             assert backward(inter).any()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -839,12 +879,17 @@ class TestFitWork:
         assert peak < 12e6
 
 
-def frozen_bound(problem, match, inter):
+def frozen_bound(problem, match, fwd):
     """The candidate loss on the frozen partners of ``match``, as the test computes it."""
-    frozen = CloudMatch.between(inter.pred_points, problem.target_points,
+    frozen = CloudMatch.between(fwd.pred_points, problem.target.data,
                                 match.idx_ab, match.idx_ba)
-    edge = mean_squared_edge_length(inter.deformed_vertices, problem.edges)
+    edge = mean_squared_edge_length(fwd.deformed_vertices, problem.edges)
     return problem.chamfer_weight * frozen.chamfer(squared=True) + problem.edge_weight * edge
+
+
+def loss_fields(fwd):
+    """The four loss fields of a forward pass, which its trace record reports."""
+    return fwd.chamfer_term, fwd.edge_term, fwd.total, fwd.gate_margin
 
 
 class TestCertifiedAccept:
@@ -869,23 +914,19 @@ class TestCertifiedAccept:
         forward = fit_module.forward_loss
 
         def audited(params, problem, draw=None):
-            terms, inter = forward(params, problem, draw)
+            fwd = forward(params, problem, draw)
             if draw is not None:
                 match, threshold = problem.certify
-                problem.certify = None
-                try:
-                    exact, exact_inter = forward(params, problem, draw)
-                finally:
-                    problem.certify = (match, threshold)
-                bound = frozen_bound(problem, match, exact_inter)
+                exact = forward(params, replace(problem, certify=None), draw)
+                bound = frozen_bound(problem, match, exact)
                 assert exact.total <= bound * (1 + self.SLACK)
-                assert (terms.total <= threshold) == (exact.total <= threshold)
+                assert (fwd.total <= threshold) == (exact.total <= threshold)
                 certified = bound * (1 + self.SLACK) <= threshold
-                assert certified == (inter.match.idx_ab is match.idx_ab)
+                assert certified == (fwd.match.idx_ab is match.idx_ab)
                 if not certified:
-                    assert terms == exact
+                    assert loss_fields(fwd) == loss_fields(exact)
                 event("certified" if certified else "exact path")
-            return terms, inter
+            return fwd
 
         stages = (StageConfig((grid,) * 3, steps, 3, step_size, 0),)
         config = FitConfig(stages=stages, sample_count=samples, seed=seed, gate=gate)
@@ -897,11 +938,11 @@ class TestCertifiedAccept:
 
     def test_bound_inside_the_slack_takes_the_exact_path(self, monkeypatch):
         _, _, problem = small_problem()
-        _, inter = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
+        inter = forward_loss(np.zeros(problem.geometry.dims + (3,)), problem)
         match, draw = inter.match, (inter.face_idx, inter.bary)
         candidate = random_interior_params(problem.geometry, seed=3, scale=0.02)
-        exact, cand = forward_loss(candidate, problem, draw=draw)  # no certify: exact
-        bound = frozen_bound(problem, match, cand)
+        exact = forward_loss(candidate, problem, draw=draw)  # no certify: exact
+        bound = frozen_bound(problem, match, exact)
         assert exact.total < bound  # some frozen partner is not the nearest
         trees = count_calls(monkeypatch, distances.PointTree, "__init__")
         for threshold, certified in [
@@ -910,12 +951,11 @@ class TestCertifiedAccept:
             (bound, False),
             (math.nan, False),
         ]:
-            problem.certify = (match, threshold)
             trees.clear()
-            terms, inter = forward_loss(candidate, problem, draw=draw)
+            fwd = forward_loss(candidate, replace(problem, certify=(match, threshold)), draw=draw)
             assert len(trees) == (0 if certified else 1)  # the candidate's predicted cloud
-            assert terms.total == (bound if certified else exact.total)
-            assert np.array_equal(inter.match.idx_ab, (match if certified else cand.match).idx_ab)
+            assert fwd.total == (bound if certified else exact.total)
+            assert np.array_equal(fwd.match.idx_ab, (match if certified else exact.match).idx_ab)
 
     def test_nan_bound_takes_the_exact_path(self, monkeypatch):
         # One vertex off every drawn face sits so far out that its edges'
@@ -923,18 +963,18 @@ class TestCertifiedAccept:
         # exact loss are 0 * inf = NaN, and only the exact pass may say so.
         _, _, problem = small_problem(w_edge=0.0)
         far = int(np.setdiff1d(np.arange(len(problem.start_vertices)), problem.faces[0])[0])
-        problem.start_vertices = problem.start_vertices.copy()
-        problem.start_vertices[far] = 1e200
+        start = problem.start_vertices.copy()
+        start[far] = 1e200
+        problem = replace(problem, start_vertices=start)
         rng = np.random.default_rng(4)
         bary = rng.dirichlet(np.ones(3), size=problem.sample_count)
         draw = (np.zeros(problem.sample_count, dtype=np.int64), bary)
         params = np.zeros(problem.geometry.dims + (3,))
         with np.errstate(over="ignore"):
-            exact, inter = forward_loss(params, problem, draw=draw)
+            exact = forward_loss(params, problem, draw=draw)
             assert math.isnan(exact.total)
-            problem.certify = (inter.match, 1.0)
             trees = count_calls(monkeypatch, distances.PointTree, "__init__")
-            terms, again = forward_loss(params, problem, draw=draw)
+            again = forward_loss(params, replace(problem, certify=(exact.match, 1.0)), draw=draw)
         assert len(trees) == 1
-        assert math.isnan(terms.total)
-        assert np.array_equal(again.match.idx_ab, inter.match.idx_ab)
+        assert math.isnan(again.total)
+        assert np.array_equal(again.match.idx_ab, exact.match.idx_ab)
