@@ -61,11 +61,8 @@ class FitDivergedError(RuntimeError):
 
     def __init__(self, stage_index: int, trace):
         self.stage_index = stage_index
-        self.trace = list(trace)
-        self.traces = (tuple(self.trace),)  # fit_pipeline puts earlier stages' first
-        super().__init__(
-            f"fit diverged at stage {stage_index}, iteration {len(self.trace)}"
-        )
+        self.traces = (tuple(trace),)  # fit_pipeline puts earlier stages' first
+        super().__init__(f"fit diverged at stage {stage_index}, iteration {len(trace)}")
 
 
 def _typed(name: str, value, kind, what: str):
@@ -329,7 +326,8 @@ def fit_stage(
     when its loss, evaluated on the same draw as the current iterate (the
     loss is stochastic, so the comparison must share the draw), increases.
     Returns the stage built from the best-loss iterate plus the full
-    per-iteration trace.
+    per-iteration trace.  The stage's gate is checked where a chain applies
+    it: the next stage's frozen chain, or fit_pipeline's final chain.
     """
     scfg = config.stages[stage_index]
     geometry = stage_grid_geometry(template, target, scfg.grid_dims, config.domain_radius)
@@ -345,7 +343,7 @@ def fit_stage(
     velocity = np.zeros_like(params)
     step_size = float(scfg.step_size)
     best_total = math.inf
-    best_params = params.copy()
+    best_params = params
     trace: list[LossReport] = []
     reuse = None  # the integration of the last accepted candidate
 
@@ -367,11 +365,10 @@ def fit_stage(
         problem = replace(problem, reuse=None, certify=(iterate.match, total))
         iterate = reuse = None  # the stencils are not needed past the reverse pass
         if total < best_total:
-            best_total, best_params = total, params.copy()
+            best_total, best_params = total, params  # never written: each candidate is new
 
         velocity = MOMENTUM * velocity - step_size * grad
-        candidate = params + velocity
-        candidate[_boundary_mask(geometry.dims)] = 0.0
+        candidate = params + velocity  # +0.0 boundary: backward zeroes grad's
         try:
             cand = forward_loss(candidate, problem, draw=draw)
         except GateViolationError:  # strict gate; a NaN margin raises too
@@ -386,9 +383,7 @@ def fit_stage(
             velocity[:] = 0.0
         cand = None  # a rejected candidate's stencils are not kept
 
-    stage = DeformationStage(FlowField(geometry, best_params.astype(np.float32)), scfg.steps)
-    check_gate(stage.h, stage.stability, config.gate, stage_index=stage_index)
-    return stage, trace
+    return DeformationStage(FlowField(geometry, best_params.astype(np.float32)), scfg.steps), trace
 
 
 @dataclass(frozen=True)
@@ -434,8 +429,8 @@ def fit_pipeline(
     The emitted chain acts in the original coordinates; the final mesh is the
     last stage's template (subdivided as configured) pushed through that
     chain.  A ``FitDivergedError`` or ``GateViolationError`` raised on the way
-    carries ``traces``: the records of every stage fitted before it, then the
-    diverged stage's records so far.
+    carries ``traces``: the records of every stage fitted so far (a stage's
+    gate is checked after its records), then a diverged stage's records.
     """
     center, scale = unit_ball_transform(template.vertices, target.vertices)
     template_norm = template.with_vertices((template.vertices - center) / scale)

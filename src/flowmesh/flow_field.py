@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -97,38 +97,35 @@ class StabilityEstimate:
             raise ValueError("stability constants must be non-negative")
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class FlowField:
     """Dense node data (H, W, D, 3) in float32 plus its grid geometry.
 
-    Instances are immutable; ``data`` is read-only and a float64 copy is kept
-    for interpolation arithmetic.  The zero-boundary invariant is *not*
-    enforced at construction; use :func:`enforce_zero_boundary`.
+    Instances are immutable; ``data`` is read-only and its float64 copy
+    ``data64`` is used for all interpolation arithmetic.  The zero-boundary
+    invariant is *not* enforced at construction; use :func:`enforce_zero_boundary`.
     """
 
-    __slots__ = ("geometry", "data", "_data64")
+    geometry: GridGeometry
+    data: np.ndarray
+    data64: np.ndarray = dataclass_field(init=False)
 
-    def __init__(self, geometry: GridGeometry, data):
+    def __post_init__(self):
         # always copy: freezing must never alias the caller's array
-        arr = np.array(data, dtype=np.float32, order="C")
-        expected = geometry.dims + (3,)
+        arr = np.array(self.data, dtype=np.float32, order="C")
+        expected = self.geometry.dims + (3,)
         if arr.shape != expected:
             raise ValueError(f"data shape {arr.shape} does not match grid {expected}")
         if not np.isfinite(arr).all():
             raise ValueError("flow field data must be finite")
         arr.flags.writeable = False
-        object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "data", arr)
         d64 = arr.astype(np.float64)
         d64.flags.writeable = False
-        object.__setattr__(self, "_data64", d64)
+        object.__setattr__(self, "data64", d64)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowField is immutable")
-
-    @property
-    def data64(self) -> np.ndarray:
-        """Float64 view of the node data used for all arithmetic."""
-        return self._data64
+    def __reduce__(self):  # copies and unpickles rebuild, so they are frozen again
+        return FlowField, (self.geometry, self.data)
 
 
 def _as_point_array(points) -> np.ndarray:

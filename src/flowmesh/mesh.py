@@ -25,6 +25,7 @@ class NonManifoldEdgeError(ValueError):
     """An operation requiring edge-manifold input met an edge with >2 faces."""
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class TriangleMesh:
     """Immutable vertex positions (V, 3) plus triangle connectivity (F, 3).
 
@@ -32,12 +33,13 @@ class TriangleMesh:
     operations that move vertices always reuse the face array unchanged.
     """
 
-    __slots__ = ("vertices", "faces")
+    vertices: np.ndarray
+    faces: np.ndarray
 
-    def __init__(self, vertices, faces):
+    def __post_init__(self):
         # always copy: freezing must never alias the caller's arrays
-        verts = np.array(vertices, dtype=np.float64, order="C")
-        tris = np.array(faces, dtype=np.int64, order="C")
+        verts = np.array(self.vertices, dtype=np.float64, order="C")
+        tris = np.array(self.faces, dtype=np.int64, order="C")
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValueError(f"vertices must have shape (V, 3), got {verts.shape}")
         if tris.size == 0:
@@ -57,8 +59,8 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", tris)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TriangleMesh is immutable")
+    def __reduce__(self):  # copies and unpickles rebuild, so they are frozen again
+        return TriangleMesh, (self.vertices, self.faces)
 
     @property
     def vertex_count(self) -> int:

@@ -16,9 +16,6 @@ class SampledCloud:
     points: np.ndarray
     normals: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan areas: _area_table refuses them
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -52,6 +52,9 @@ class OccupancyGrid:
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "supersample", int(self.supersample))
 
+    def __reduce__(self):  # copies and unpickles rebuild, so they are frozen again
+        return OccupancyGrid, (self.geometry, self.supersample, self.occupied)
+
     @property
     def cell_counts(self) -> tuple[int, int, int]:
         s = int(self.supersample)

@@ -532,6 +532,56 @@ class TestFitCommand:
         assert "step-size gate violated" in capsys.readouterr().err
         assert [r["iteration"] for r in self.trace_records(out_dir)] == list(range(80))
 
+    def test_emitted_stage_failing_the_gate_keeps_its_own_records(self, tmp_path, monkeypatch,
+                                                                  sphere_obj, capsys):
+        # Every built stage reports L_safe = inf; the fit's own passes read the
+        # grid directly, so only the gate of the chain that applies a stage fails.
+        import dataclasses
+
+        import flowmesh.deform as deform_module
+
+        estimate = deform_module.stability_estimate
+        monkeypatch.setattr(deform_module, "stability_estimate", lambda field: dataclasses.replace(
+            estimate(field), lipschitz_safe=math.inf))
+        config = self.write_config(tmp_path, stages=[
+            {"grid_dims": [5, 5, 5], "steps": 2, "iterations": 3, "step_size": 0.3}
+        ], sample_count=50)
+        out_dir = tmp_path / "run"
+        code = main(["fit", "--template", str(sphere_obj), "--target", str(sphere_obj),
+                     "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "step-size gate violated at stage 0" in capsys.readouterr().err
+        assert [r["iteration"] for r in self.trace_records(out_dir)] == [0, 1, 2]
+
+    def test_manifest_chain_reproduces_the_fitted_mesh(self, tmp_path, capsys):
+        # The README's contract: the manifest's chain, applied by `deform` to the
+        # template subdivided to the last stage's level, gives fitted.obj's bytes.
+        template, target = tmp_path / "template.obj", tmp_path / "target.obj"
+        store_obj(icosphere(1), template)
+        store_obj(icosphere(2).with_vertices(icosphere(2).vertices * (1.2, 0.9, 1.0)), target)
+        stage = {"grid_dims": [5, 5, 5], "steps": 2, "iterations": 3, "step_size": 0.3}
+        config = self.write_config(tmp_path, sample_count=100, stages=[
+            stage, dict(stage, grid_dims=[6, 6, 6], template_subdivision_level=1)])
+        out_dir = tmp_path / "run"
+        assert main(["fit", "--template", str(template), "--target", str(target),
+                     "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        stages = json.loads((out_dir / "manifest.json").read_text())["stages"]
+        chain = []
+        for entry in stages:
+            flow = str(out_dir / entry["flow_file"])
+            assert main(["check", "--flow", flow, "--steps", str(entry["steps"])]) == 0
+            chain += ["--flow", flow, "--steps", str(entry["steps"])]
+        subdivided, deformed = tmp_path / "subdivided.obj", tmp_path / "deformed.obj"
+        assert main(["subdivide", "--mesh", str(template), "--levels", "1",
+                     "--out", str(subdivided)]) == 0
+        assert main(["deform", "--mesh", str(subdivided), *chain, "--out", str(deformed)]) == 0
+        assert deformed.read_bytes() == (out_dir / "fitted.obj").read_bytes()
+        back = tmp_path / "back.obj"
+        assert main(["deform", "--mesh", str(out_dir / "fitted.obj"), *chain, "--inverse",
+                     "--out", str(back)]) == 0
+        error = np.abs(load_obj(back).vertices - load_obj(subdivided).vertices).max()
+        assert error < 1e-8
+
 
 _STAGE = {"grid_dims": [4, 4, 4], "steps": 1, "iterations": 1, "step_size": 0.1}
 _REFUSED_CONFIGS = [  # (config, the field its message names)
@@ -1179,13 +1229,17 @@ def test_main_alone_turns_refusals_into_exit_codes():
 
 
 def test_library_dataclasses_are_frozen():
-    """Every @dataclass under src/flowmesh is frozen=True, so no record is
-    written after it is built."""
+    """Every @dataclass under src/flowmesh is frozen=True and no class defines
+    its own __setattr__, so no record is written after it is built and none
+    is frozen by hand."""
     root = Path(__file__).resolve().parents[1] / "src"
     checked, unfrozen = 0, []
     for path in sorted((root / "flowmesh").rglob("*.py")):
         module = ".".join(path.relative_to(root).with_suffix("").parts)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(item, "name", None) == "__setattr__" for item in node.body):
+                unfrozen.append(f"{module}.{node.name}.__setattr__")
             for decorator in getattr(node, "decorator_list", ()):
                 call = decorator if isinstance(decorator, ast.Call) else None
                 target = call.func if call else decorator

@@ -426,7 +426,7 @@ class TestFitStage:
         cfg = self.config(iterations=5, chamfer_weight=1e120)
         with pytest.raises(FitDivergedError) as err:
             fit_stage(cfg, 0, DeformationChain(), template, target)
-        assert err.value.trace == []
+        assert err.value.traces == ((),)
         assert err.value.stage_index == 0
 
 
@@ -978,3 +978,51 @@ class TestCertifiedAccept:
         assert len(trees) == 1
         assert math.isnan(again.total)
         assert np.array_equal(again.match.idx_ab, exact.match.idx_ab)
+
+
+def _copied_values():
+    """One value of each library type that holds frozen arrays, built on demand."""
+    from flowmesh.metrics import voxelize
+
+    mesh = icosphere(1)
+    geometry = GridGeometry((5, 5, 5), (-1.5, -1.5, -1.5), (0.75, 0.75, 0.75))
+    field = FlowField(geometry, np.where(_boundary_mask((5, 5, 5))[..., None], 0.0,
+                                         np.full((5, 5, 5, 3), 0.03125, np.float32)))
+    stage = DeformationStage(field, 2)
+    config = FitConfig((StageConfig((5, 5, 5), 2, 2, 0.3),), sample_count=50)
+    return {
+        "TriangleMesh": lambda: mesh,
+        "FlowField": lambda: field,
+        "DeformationStage": lambda: stage,
+        "DeformationChain": lambda: DeformationChain((stage, stage)),
+        "FitResult": lambda: fit_pipeline(config, mesh, scaled_icosphere(1, 1.2)),
+        "OccupancyGrid": lambda: voxelize(mesh, geometry, 2),
+    }
+
+
+def _arrays(value):
+    """Every ndarray reachable through the value's fields, slots and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    names = getattr(value, "__dataclass_fields__", None) or getattr(value, "__slots__", ())
+    return [a for name in names for a in _arrays(getattr(value, name))]
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", list(_copied_values()))
+def test_copies_and_unpickles_keep_bits_and_stay_frozen(kind, how):
+    import copy
+    import pickle
+
+    original = _copied_values()[kind]()
+    rebuild = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how]
+    clone = rebuild(original)
+    assert type(clone) is type(original)
+    before, after = _arrays(original), _arrays(clone)
+    assert before and len(after) == len(before)
+    for a, b in zip(before, after):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not b.flags.writeable
