@@ -54,6 +54,10 @@ class GateViolationError(RuntimeError):
                else "no step count satisfies the gate")
         )
 
+    def __reduce__(self):  # rebuild through __init__; the state keeps traces a fit attached
+        args = self.h, self.lipschitz, self.lipschitz_safe, self.stage_index
+        return type(self), args, vars(self)
+
 
 class GateWarning(UserWarning):
     """Emitted instead of failing when the gate policy is 'warn'."""
@@ -69,6 +73,9 @@ class InversionError(RuntimeError):
             f"inverse step did not converge within {max_iter} iterations "
             f"(worst residual {residual:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.residual, self.max_iter), vars(self)
 
 
 def suggested_steps(lipschitz_safe: float) -> int | None:
@@ -174,11 +181,13 @@ def _finite_point_array(points) -> np.ndarray:
     return pts
 
 
-def euler_steps(geometry: GridGeometry, data64, x, steps: int, stencils=None) -> np.ndarray:
+def euler_steps(geometry: GridGeometry, data64, x, steps: int, stencils=None,
+                start=None) -> np.ndarray:
     """The library's one Euler loop: the (N, 3) batch ``x`` after ``steps`` steps of size 1/steps
-    through the float64 node array ``data64``; each step's stencil is appended to ``stencils``."""
-    for _ in range(steps):
-        stencil = TrilinearStencil(geometry, x)
+    through the float64 node array ``data64``; each step's stencil is appended to ``stencils``.
+    ``start``, if given, is the stencil of ``x`` itself, taken as the first step's."""
+    for step in range(steps):
+        stencil = start if step == 0 and start is not None else TrilinearStencil(geometry, x)
         if stencils is not None:
             stencils.append(stencil)
         x = x + (1.0 / steps) * stencil.sample(data64)

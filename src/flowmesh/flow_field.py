@@ -33,6 +33,9 @@ class FlowFormatError(ValueError):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.code), vars(self)
+
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -148,7 +151,6 @@ def _boundary_mask(dims: tuple[int, int, int]) -> np.ndarray:
 _CORNERS = np.array(
     [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)], dtype=np.int64
 )
-_DU = np.array([-1.0, 1.0])  # d/dt of the axis factors (1 - t, t)
 
 
 def scatter_add(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -217,15 +219,6 @@ class TrilinearStencil:
         np.subtract(1.0, factors[:, 1], out=factors[:, 0])
         return factors
 
-    def _weight_gradients(self, f: np.ndarray) -> np.ndarray:
-        """d(weight)/d(world position), (n, 8, 3), from factors f: axis a's pair becomes (-1, 1)."""
-        n = f.shape[2]
-        du = np.broadcast_to(_DU[:, None], (2, n))
-        grads = np.empty((n, 8, 3))
-        for a, d in enumerate(self.geometry.spacing):
-            np.divide(_corner_products(*f[:a], du, *f[a + 1:]), d, out=grads[:, :, a])
-        return grads
-
     def sample(self, data64: np.ndarray) -> np.ndarray:
         """The interpolant at every point of the batch, zero outside; (N, 3)."""
         corners = np.take(data64.reshape(-1, 3), self.flat, axis=0)  # (n, 8, 3)
@@ -236,19 +229,28 @@ class TrilinearStencil:
         out[self.inside] = values
         return out
 
-    def backprop(self, out: np.ndarray, data64: np.ndarray, grad: np.ndarray,
-                 scale: float) -> np.ndarray:
+    def backprop(self, out: np.ndarray, data64: np.ndarray | None, grad: np.ndarray,
+                 scale: float) -> np.ndarray | None:
         """The reverse step of ``sample`` on the rows for an (n, 3) ``grad``: adds ``scale *
         weight * grad`` of each row to its 8 corner rows of the (nodes, 3) ``out``, a column at a
-        time by ``np.add.at`` (an (n, 8) index ran 5x slower), and returns ``scale * J^T grad``."""
-        flat, factors = self.flat, self._axis_factors()
-        node_dot = np.einsum("npc,nc->np", np.take(data64.reshape(-1, 3), flat, axis=0), grad)
-        # J^T first: its (n, 8, 3) weight gradients are freed before the adds' (n, 8)
-        jt = scale * np.einsum("npa,np->na", self._weight_gradients(factors), node_dot)
-        sw = scale * _corner_products(*factors)
+        time by ``np.add.at`` (an (n, 8) index ran 5x slower), and returns ``scale * J^T grad``;
+        with ``data64`` None (points held fixed) it makes only the adds.  Row a of J^T's
+        (3, 8, n) terms holds the corner products with axis a's pair (1 - t, t) made (-1, 1),
+        over spacing[a], times each corner's node . grad; they are summed in corner order."""
+        flat, (x, y, z) = self.flat, self._axis_factors()
+        sw = scale * _corner_products(x, y, z)
         for c in range(out.shape[1]):
             np.add.at(out[:, c], flat.ravel(), (sw * grad[:, c, None]).ravel())
-        return jt
+        if data64 is None:
+            return None
+        node_dot = np.einsum("npc,nc->np", np.take(data64.reshape(-1, 3), flat, axis=0), grad)
+        jt = np.empty((3, 8, len(grad)))
+        for a, (p, q) in enumerate(((y, z), (x, z), (y, x))):  # the pair after swapaxes(0, a)
+            low, high = jt[a].reshape(2, 2, 2, len(grad)).swapaxes(0, a)
+            np.divide(np.multiply(p[:, None], q, out=high), self.geometry.spacing[a], out=high)
+            np.negative(high, out=low)
+        jt *= node_dot.T
+        return scale * jt.sum(axis=1).T
 
 
 def sample_grid(geometry: GridGeometry, data64: np.ndarray, points) -> np.ndarray:

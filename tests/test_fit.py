@@ -343,16 +343,23 @@ class TestBackwardReference:
             sample_seed=5,
         )
 
+    @pytest.mark.parametrize("given", [False, True])  # a start stencil built per pass or given
     @pytest.mark.parametrize("steps", [1, 8])
     @pytest.mark.parametrize("edge_weight", [0.0, 1.0])
-    def test_equals_reference_bitwise(self, steps, edge_weight):
+    def test_equals_reference_bitwise(self, steps, edge_weight, given):
+        # every step's stencil drops the rows outside the grid
         problem = self.problem(steps, edge_weight)
         geometry = problem.geometry
         inside = geometry.contains(problem.start_vertices)
         assert 10 <= inside.sum() < len(inside)
+        if given:
+            start = TrilinearStencil(geometry, problem.start_vertices)
+            problem = replace(problem, start_stencil=start)
         params = random_interior_params(geometry, seed=steps, scale=0.01)
         inter = forward_loss(params, problem)
         assert len(inter.step_stencils) == steps
+        assert all(len(s.inside) < len(inside) for s in inter.step_stencils)
+        assert (inter.step_stencils[0] is problem.start_stencil) == given
         expected = reference_backward(inter)
         assert expected.any()
         assert backward(inter).tobytes() == expected.tobytes()
@@ -790,8 +797,17 @@ class TestFitWork:
         fit_stage(self.config(iterations), 0, DeformationChain(), icosphere(2), ellipsoid(3))
         assert all(cand <= cur for cur, cand in zip(totals[::2], totals[1::2]))
         assert len(totals) == 2 * iterations
-        assert len(stencils) == steps * (iterations + 1)
+        # one start stencil per stage; every integration builds the other steps'
+        assert len(stencils) == (steps - 1) * (iterations + 1) + 1
         assert len(stabilities) == iterations + 1  # the reused pass reuses it too
+
+    def test_an_8_step_backward_gathers_corners_7_times(self, monkeypatch):
+        # the start vertices are frozen: their step scatters into the nodes and needs no J^T
+        _, _, problem = small_problem(seed=6, steps=8)
+        fwd = forward_loss(random_interior_params(problem.geometry, seed=7), problem)
+        gathers = count_calls(monkeypatch, np, "take")
+        backward(fwd)
+        assert len(gathers) == 7
 
     def test_target_area_table_is_built_once_per_stage(self, monkeypatch):
         tables = count_calls(monkeypatch, fit_module, "_area_table")
@@ -1026,3 +1042,38 @@ def test_copies_and_unpickles_keep_bits_and_stay_frozen(kind, how):
     for a, b in zip(before, after):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not b.flags.writeable
+
+
+def _errors():
+    """One of each library error whose ``__init__`` takes more than a message, with the
+    ``traces`` that ``fit_pipeline`` attaches where it attaches them."""
+    from flowmesh import FlowFormatError, GateViolationError, InversionError
+    from flowmesh.fit import LossReport
+
+    record = LossReport(0, 0.5, 0.25, 0.75, 0.125, 0.9)
+    gate = GateViolationError(0.125, 10.0, 17.5, stage_index=1)
+    gate.traces = ((record,), (record, record))
+    diverged = FitDivergedError(1, [record, record])
+    diverged.traces = ((record,), *diverged.traces)
+    return {
+        "GateViolationError": gate,
+        "InversionError": InversionError(3.5e-3, 100),
+        "FitDivergedError": diverged,
+        "FlowFormatError": FlowFormatError("truncated payload in 'f.dff'", code="truncated"),
+    }
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", list(_errors()))
+def test_errors_copy_and_unpickle_with_message_and_attributes(kind, how):
+    # a worker process that raises one sends it back pickled
+    import copy
+    import pickle
+
+    original = _errors()[kind]
+    rebuild = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how]
+    clone = rebuild(original)
+    assert type(clone) is type(original)
+    assert str(clone) == str(original)
+    assert vars(clone) == vars(original) and vars(clone)

@@ -470,6 +470,59 @@ class TestTrilinearStencil:
         assert jt.tobytes() == (0.125 * np.einsum("npa,np->na", grads, node_dot)).tobytes()
 
 
+class TestBackpropOracle:
+    """``backprop``, with and without ``data64``, equals the einsum formula bit for bit on
+    rows inside and outside the grid, on cell faces, on its upper faces, and on rows whose
+    8 J^T terms are all +-0.0."""
+
+    @staticmethod
+    def case(name):
+        geometry = GridGeometry((5, 6, 7), (-1.0, -0.5, 0.0), (0.5, 0.4, 0.3))
+        rng = np.random.default_rng(41)
+        data = rng.normal(size=(5, 6, 7, 3))
+        pts = rng.uniform(geometry.lower - 0.2, geometry.upper + 0.2, size=(300, 3))
+        grad = rng.normal(size=(300, 3))
+        if name == "cell faces":  # every point on a node plane of one, two or three axes
+            nodes = geometry.lower + rng.integers(0, 7, size=(300, 3)) * np.array(geometry.spacing)
+            on = rng.random((300, 3)) < 0.6
+            on[np.arange(300), rng.integers(0, 3, size=300)] = True
+            pts = np.where(on, nodes, rng.uniform(geometry.lower, geometry.upper, size=(300, 3)))
+        elif name == "upper faces":
+            pts[:, :] = rng.uniform(geometry.lower, geometry.upper, size=(300, 3))
+            for axis in range(3):
+                pts[axis * 80:(axis + 1) * 80, axis] = geometry.upper[axis]
+            pts[240:] = geometry.upper
+        elif name == "zero terms":  # signed zeros in the nodes and the rows: all 8 terms +-0.0
+            data[:, :, 3:] = -0.0
+            data[:, :, :3][rng.random((5, 6, 3)) < 0.5] = 0.0
+            grad[::3] = np.where(rng.random((100, 3)) < 0.5, -0.0, 0.0)
+        return geometry, data, pts, grad
+
+    @pytest.mark.parametrize("name", ["inside and outside", "cell faces", "upper faces",
+                                      "zero terms"])
+    def test_equals_the_einsum_formula_bitwise(self, name):
+        # J^T is the einsum of the per-corner weight gradients with each corner's node . grad
+        geometry, data, pts, grad = self.case(name)
+        stencil = TrilinearStencil(geometry, pts)
+        g = grad[stencil.inside]
+        if name == "inside and outside":
+            assert 100 <= len(stencil.inside) < 250
+        elif name == "zero terms":
+            zero = ~data.reshape(-1, 3)[stencil.flat].any(axis=(1, 2)) | ~g.any(axis=1)
+            assert zero.sum() >= 30 and np.signbit(data).any() and np.signbit(g).any()
+        weights, grads = stencil_formulas(stencil.local, geometry.spacing)
+        expected = np.zeros((data.size // 3, 3))
+        np.add.at(expected, stencil.flat, 0.125 * weights[:, :, None] * g[:, None, :])
+        node_dot = np.einsum("npc,nc->np", data.reshape(-1, 3)[stencil.flat], g)
+        out = np.zeros_like(expected)
+        jt = stencil.backprop(out, data, g, 0.125)
+        assert jt.tobytes() == (0.125 * np.einsum("npa,np->na", grads, node_dot)).tobytes()
+        assert out.tobytes() == expected.tobytes()
+        adds = np.zeros_like(expected)
+        assert stencil.backprop(adds, None, g, 0.125) is None
+        assert adds.tobytes() == expected.tobytes()
+
+
 class TestScatterAdd:
     """``scatter_add`` and ``TrilinearStencil.backprop`` must equal ``np.add.at``
     on the whole array byte for byte, although they add one column at a time."""
